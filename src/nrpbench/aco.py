@@ -22,11 +22,7 @@ import numpy as np
 
 from . import rng
 from .local_search import sweep_improve
-from .model import CoverTracker, Instance, Solution, evaluate
-
-
-class ZeroClosureCostError(Exception):
-    """A customer with an empty closure makes the heuristic ratio undefined."""
+from .model import Instance, Solution, _construct, evaluate
 
 
 class EmptyCandidateSetError(Exception):
@@ -70,22 +66,29 @@ class RunResult:
 
 
 def init_pheromone(instance: Instance) -> PheromoneState:
-    """Start every trail at theta * profit with theta = 1 / max profit."""
+    """Start every trail at theta * profit with theta = 1 / max profit (1 without customers)."""
     instance.require_valid()
-    if instance.n_customers == 0:
-        raise ValueError("instance has no customers")
-    theta = 1.0 / float(instance.profit_vector.max())
+    theta = 1.0 / float(instance.profit_vector.max(initial=1))
     return PheromoneState(tau=theta * instance.profit_vector.astype(np.float64), theta=theta)
 
 
 def heuristic_info(instance: Instance) -> np.ndarray:
-    """Static desirability eta_i = profit_i / closure_cost_i."""
+    """Static desirability eta_i = profit_i / max(1, closure_cost_i).
+
+    A customer with an empty closure is free profit; the guard keeps its
+    ratio finite, as GRASP's score does.
+    """
     instance.require_valid()
-    ccost = instance.closure_cost_vector
-    if (ccost <= 0).any():
-        bad = int(np.flatnonzero(ccost <= 0)[0]) + 1
-        raise ZeroClosureCostError(f"customer {bad} has an empty closure")
-    return instance.profit_vector / ccost.astype(np.float64)
+    return instance.profit_vector / np.maximum(1.0, instance.closure_cost_vector)
+
+
+def _normalise(weights: np.ndarray) -> np.ndarray:
+    """Weights scaled to sum to 1; uniform when their total is zero or not finite."""
+    total = weights.sum()
+    if 0 < total < np.inf:
+        return weights / total
+    # degenerate trail (e.g. fully evaporated): fall back to uniform
+    return np.full(weights.size, 1.0 / weights.size)
 
 
 def selection_probabilities(
@@ -103,29 +106,24 @@ def selection_probabilities(
     cand = np.asarray(sorted(int(c) for c in candidates), dtype=np.intp)
     if cand.size == 0:
         raise EmptyCandidateSetError("no candidates to choose from")
-    weights = state.tau[cand - 1] ** alpha * eta[cand - 1] ** beta
-    total = weights.sum()
     probs = np.zeros(len(eta), dtype=np.float64)
-    if total > 0 and np.isfinite(total):
-        probs[cand - 1] = weights / total
-    else:
-        # degenerate trail (e.g. fully evaporated): fall back to uniform
-        probs[cand - 1] = 1.0 / cand.size
+    probs[cand - 1] = _normalise(state.tau[cand - 1] ** alpha * eta[cand - 1] ** beta)
     return probs
 
 
 def roulette_select(probabilities: np.ndarray, r: float) -> int:
     """First customer (in id order) whose cumulative probability reaches r.
 
-    Rounding can leave r above the final cumulative value; the last
-    customer with positive probability is returned in that case.
+    Works on any probability vector: the result is the 1-based position
+    of the chosen entry.  Rounding can leave r above the final cumulative
+    value; the last entry with positive probability is returned then.
     """
     p = np.asarray(probabilities, dtype=np.float64)
-    positive = np.flatnonzero(p > 0)
+    positive = (p > 0).nonzero()[0]
     if positive.size == 0:
         raise ValueError("no positive-probability candidate")
-    cum = np.cumsum(p[positive])
-    k = int(np.searchsorted(cum, r, side="left"))
+    cum = p[positive].cumsum()
+    k = int(cum.searchsorted(r, side="left"))
     if k >= positive.size:
         k = positive.size - 1
     return int(positive[k]) + 1
@@ -146,33 +144,14 @@ def construct_solution(
     candidate remains.  tau is constant during a single construction,
     so the rule's weights are computed once up front.
     """
-    instance.require_valid()
-    m = instance.n_customers
     weights = state.tau ** params.alpha * eta ** params.beta
     if not (np.isfinite(weights).all() and weights.sum() > 0):
-        weights = np.ones(m, dtype=np.float64)
+        weights = np.ones(instance.n_customers, dtype=np.float64)
 
-    tracker = CoverTracker(instance)
-    selected = np.zeros(m, dtype=bool)
-    picked: list[int] = []
-    while True:
-        affordable = ~selected & (tracker.cost + tracker.marginal <= budget)
-        cand = np.flatnonzero(affordable)
-        if cand.size == 0:
-            break
-        w = weights[cand]
-        total = w.sum()
-        probs = w / total if total > 0 else np.full(cand.size, 1.0 / cand.size)
-        r = gen.random()
-        cum = np.cumsum(probs)
-        k = int(np.searchsorted(cum, r, side="left"))
-        if k >= cand.size:
-            k = cand.size - 1
-        choice = int(cand[k])
-        selected[choice] = True
-        picked.append(choice + 1)
-        tracker.add(choice)
-    return evaluate(instance, picked)
+    def choose(cover, cand):
+        return int(cand[roulette_select(_normalise(weights[cand]), gen.random()) - 1])
+
+    return _construct(instance, budget, choose)
 
 
 def evaporate(state: PheromoneState, rho: float) -> PheromoneState:

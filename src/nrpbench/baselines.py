@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .local_search import improve, random_feasible
-from .model import CoverTracker, Instance, Solution, evaluate
+from .model import Instance, Solution, _construct, evaluate
 
 
 class TooLargeError(Exception):
@@ -44,7 +44,7 @@ class GraspParams:
 
 @dataclass
 class SaParams:
-    lm_beta: float = 1e-8
+    lm_beta: float = 0.05
     initial_temp: float | None = None  # None: calibrate from probe moves
     final_temp: float = 1e-4
     moves_per_temp: int = 1
@@ -69,25 +69,14 @@ def grasp_construct(
     score-descending with ties to the smaller id, so rcl_length = 1 is
     the deterministic greedy.
     """
-    instance.require_valid()
     profits = instance.profit_vector
-    tracker = CoverTracker(instance)
-    m = instance.n_customers
-    selected = np.zeros(m, dtype=bool)
-    picked: list[int] = []
-    while True:
-        affordable = ~selected & (tracker.cost + tracker.marginal <= budget)
-        cand = np.flatnonzero(affordable)
-        if cand.size == 0:
-            break
-        score = profits[cand] / np.maximum(1.0, tracker.marginal[cand])
-        order = np.lexsort((cand, -score))
-        rcl = cand[order[: min(rcl_length, cand.size)]]
-        choice = int(rcl[int(gen.integers(0, rcl.size))])
-        selected[choice] = True
-        picked.append(choice + 1)
-        tracker.add(choice)
-    return evaluate(instance, picked)
+
+    def choose(cover, cand):
+        score = profits[cand] / np.maximum(1.0, cover.marginal[cand])
+        rcl = cand[np.lexsort((cand, -score))[:rcl_length]]
+        return int(rcl[int(gen.integers(0, rcl.size))])
+
+    return _construct(instance, budget, choose)
 
 
 def grasp(instance: Instance, budget: int, params: GraspParams, seed: int) -> Solution:

@@ -244,6 +244,17 @@ def parse_bench_config(path) -> BenchConfig:
 # -- execution --------------------------------------------------------------
 
 
+def _dump_payload(instance_name: str, ratio: str, algo: str, seed: int, budget: int,
+                  sol: Solution) -> dict:
+    """One solved cell as JSON-ready data, the same for ``solve --dump`` and bench dumps."""
+    return {
+        "instance": instance_name, "ratio": ratio, "algorithm": algo,
+        "seed": seed, "budget": budget, "profit": sol.profit,
+        "cost": sol.cost, "selected": sorted(sol.selected),
+        "covered": sorted(sol.covered),
+    }
+
+
 def _run_cell(args) -> tuple[RunRecord, dict | None]:
     source, ratio, algo, seed, params, want_dump = args
     name = source.name
@@ -258,14 +269,7 @@ def _run_cell(args) -> tuple[RunRecord, dict | None]:
             raise AssertionError("solver returned an inconsistent solution")
         rec = RunRecord(name, ratio, algo, seed, sol.profit, sol.cost, bud,
                         elapsed, effort)
-        dump = None
-        if want_dump:
-            dump = {
-                "instance": name, "ratio": ratio, "algorithm": algo,
-                "seed": seed, "budget": bud, "profit": sol.profit,
-                "cost": sol.cost, "selected": sorted(sol.selected),
-                "covered": sorted(sol.covered),
-            }
+        dump = _dump_payload(name, ratio, algo, seed, bud, sol) if want_dump else None
         return rec, dump
     except Exception as exc:  # noqa: BLE001 - failed cells must not kill the matrix
         rec = RunRecord(name, ratio, algo, seed, None, None, None, 0.0, None,
@@ -361,8 +365,33 @@ def write_markdown(records, path, algo_order) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_dump_shape(dump) -> None:
+    """Raise ValueError unless ``dump`` has the fields and types a dump is written with."""
+    if not isinstance(dump, dict):
+        raise ValueError(f"malformed dump: expected a JSON object, got {type(dump).__name__}")
+    for key in ("selected", "profit", "cost"):
+        if key not in dump:
+            raise ValueError(f"malformed dump: no {key!r} field")
+    for key, value in dump.items():
+        if key in ("selected", "covered"):
+            ok = isinstance(value, list) and all(map(_is_int, value))
+        else:
+            ok = key not in ("profit", "cost", "budget") or _is_int(value)
+        if not ok:
+            raise ValueError(f"malformed dump: bad {key!r} field {value!r}")
+
+
 def verify_dump(instance: Instance, dump: dict) -> list[str]:
-    """Re-evaluate a dumped selection; returns a list of discrepancies."""
+    """Re-evaluate a dumped selection; returns a list of discrepancies.
+
+    Raises ValueError when the dump is not shaped like one ``solve --dump``
+    or a bench run writes.
+    """
+    _check_dump_shape(dump)
     problems = []
     sol = evaluate(instance, dump["selected"])
     if sol.profit != dump["profit"]:

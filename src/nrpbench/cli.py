@@ -19,8 +19,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .baselines import TooLargeError
-from .bench import (ConfigError, default_params, parse_bench_config, run_bench,
-                    solve_one, verify_dump, ALGORITHMS)
+from .bench import (ConfigError, _dump_payload, default_params, parse_bench_config,
+                    run_bench, solve_one, verify_dump, ALGORITHMS)
 from .fileformat import ParseError, read_instance_file, write_instance
 from .generate import builtin_names, builtin_spec, generate, spec_from_dict
 from .model import InvalidInstanceError, budget as budget_of, evaluate
@@ -173,12 +173,8 @@ def _cmd_solve(args) -> int:
     # wall time goes to stderr so repeated runs give identical stdout
     print(f"time: {wall:.3f}s", file=sys.stderr)
     if args.dump:
-        payload = {
-            "instance": args.instance, "ratio": str(args.budget_ratio),
-            "algorithm": args.algo, "seed": args.seed, "budget": bud,
-            "profit": sol.profit, "cost": sol.cost,
-            "selected": sorted(sol.selected), "covered": sorted(sol.covered),
-        }
+        payload = _dump_payload(args.instance, str(args.budget_ratio), args.algo,
+                                args.seed, bud, sol)
         Path(args.dump).write_text(json.dumps(payload, indent=1) + "\n",
                                    encoding="utf-8")
     return EXIT_OK

@@ -1,6 +1,9 @@
 """Hill climbing over customer selections: feasible adds and 1-swaps.
 
-Two climbs of different strength share the same move set.
+Two climbs of different strength share the same move set, the same
+best-swap rule (maximum gain, ties to the smaller outgoing id) and one
+cover state, a :class:`~nrpbench.model.CoverTracker` started from the
+given selection; they differ only in the order they visit moves.
 
 `improve` is the cheap first-found variant: each round samples one
 unselected customer uniformly; if that customer fits within budget it
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .model import CoverTracker, Instance, Solution, evaluate
+from .model import CoverTracker, Instance, Solution
 
 
 class InfeasibleStartError(Exception):
@@ -45,15 +48,34 @@ class FhcParams:
 
 def random_feasible(instance: Instance, budget: int, gen: np.random.Generator) -> Solution:
     """Greedy fill along a uniformly random customer order."""
+    cover = CoverTracker(instance)
+    for idx in gen.permutation(instance.n_customers).tolist():
+        if cover.cost + cover.marginal[idx] <= budget:
+            cover.add(idx)
+    return cover.solution()
+
+
+def _start_cover(instance: Instance, budget: int, start: Solution) -> CoverTracker:
     instance.require_valid()
-    tracker = CoverTracker(instance)
-    picked: list[int] = []
-    for idx in gen.permutation(instance.n_customers):
-        idx = int(idx)
-        if tracker.cost + tracker.marginal[idx] <= budget:
-            tracker.add(idx)
-            picked.append(idx + 1)
-    return evaluate(instance, picked)
+    if start.cost > budget:
+        raise InfeasibleStartError(f"start cost {start.cost} exceeds budget {budget}")
+    return CoverTracker(instance, start.selected)
+
+
+def _improving_swaps(cover: CoverTracker, budget: int, profits: np.ndarray,
+                     incoming, outgoing) -> np.ndarray:
+    """(incoming x outgoing) mask of the feasible swaps that raise profit."""
+    return ((cover.swap_costs(incoming, outgoing) <= budget)
+            & (profits[outgoing] < profits[incoming][:, None]))
+
+
+def _best_swap(ok: np.ndarray, outgoing: np.ndarray, profits: np.ndarray) -> int:
+    """Outgoing customer of the best swap in one row of the mask.
+
+    Maximum gain means minimum outgoing profit; ties go to the smaller id.
+    """
+    out = outgoing[ok]
+    return int(out[np.argmin(profits[out])])
 
 
 def improve(instance: Instance, budget: int, start: Solution, gen: np.random.Generator) -> Solution:
@@ -64,58 +86,23 @@ def improve(instance: Instance, budget: int, start: Solution, gen: np.random.Gen
     profit-improving swap for j (maximum gain, ties to the smaller
     outgoing id) is taken; if neither exists the climb ends.
     """
-    instance.require_valid()
-    if start.cost > budget:
-        raise InfeasibleStartError(f"start cost {start.cost} exceeds budget {budget}")
-
-    costs_f = instance.cost_vector.astype(np.float64)
+    cover = _start_cover(instance, budget, start)
     profits = instance.profit_vector
-    closure_f = instance.closure_matrix_f
-
-    m = instance.n_customers
-    selected = np.zeros(m, dtype=bool)
-    selected[[c - 1 for c in start.selected]] = True
-    counts = closure_f[selected].sum(axis=0) if selected.any() else np.zeros(
-        instance.n_requirements)
-    cost = start.cost
-    profit = start.profit
-
     while True:
-        out_idx = np.flatnonzero(~selected)
+        out_idx = (~cover.selected).nonzero()[0]
         if out_idx.size == 0:
             break
         j = int(out_idx[gen.integers(0, out_idx.size)])
-
-        marg = closure_f[j] @ (costs_f * (counts == 0))
-        if cost + marg <= budget:
-            counts += closure_f[j]
-            cost = int(cost + marg)
-            profit += int(profits[j])
-            selected[j] = True
+        if cover.cost + cover.marginal[j] <= budget:
+            cover.add(j)
             continue
-
-        sel_idx = np.flatnonzero(selected)
-        if sel_idx.size == 0:
+        sel_idx = cover.selected.nonzero()[0]
+        ok = _improving_swaps(cover, budget, profits, [j], sel_idx)[0]
+        if not ok.any():
             break
-        # cost(S + j - l) = cost + marg - freed(l) + kept(l): dropping l
-        # frees the requirements only l covers, except those j re-covers.
-        singly_cost = costs_f * (counts == 1)
-        freed = closure_f[sel_idx] @ singly_cost
-        kept = closure_f[sel_idx] @ (singly_cost * closure_f[j])
-        swap_cost = cost + marg - freed + kept
-        swap_ok = (swap_cost <= budget) & (profits[sel_idx] < profits[j])
-        if not swap_ok.any():
-            break
-        ok = np.flatnonzero(swap_ok)
-        l_pos = ok[int(np.argmin(profits[sel_idx[ok]]))]
-        l = int(sel_idx[l_pos])
-        counts += closure_f[j] - closure_f[l]
-        cost = int(swap_cost[l_pos])
-        profit += int(profits[j]) - int(profits[l])
-        selected[j] = True
-        selected[l] = False
-
-    return evaluate(instance, (int(i) + 1 for i in np.flatnonzero(selected)))
+        cover.add(j)
+        cover.drop(_best_swap(ok, sel_idx, profits))
+    return cover.solution()
 
 
 def sweep_improve(instance: Instance, budget: int, start: Solution,
@@ -130,73 +117,24 @@ def sweep_improve(instance: Instance, budget: int, start: Solution,
     The returned selection admits no feasible addition and no
     profit-improving 1-swap at all.
     """
-    instance.require_valid()
-    if start.cost > budget:
-        raise InfeasibleStartError(f"start cost {start.cost} exceeds budget {budget}")
-
-    costs_f = instance.cost_vector.astype(np.float64)
+    cover = _start_cover(instance, budget, start)
     profits = instance.profit_vector
-    closure_f = instance.closure_matrix_f
-
-    m = instance.n_customers
-    selected = np.zeros(m, dtype=bool)
-    selected[[c - 1 for c in start.selected]] = True
-    counts = closure_f[selected].sum(axis=0) if selected.any() else np.zeros(
-        instance.n_requirements)
-    cost = start.cost
-    profit = start.profit
-
     while True:
-        sel_idx = np.flatnonzero(selected)
-        out_idx = np.flatnonzero(~selected)
+        out_idx = (~cover.selected).nonzero()[0]
         if out_idx.size == 0:
             break
-
-        # marginal add cost of every outside customer against the current cover
-        uncovered_cost = costs_f * (counts == 0)
-        marg = closure_f[out_idx] @ uncovered_cost
-        add_ok = cost + marg <= budget
-
-        # swap cost: dropping l frees the requirements only l covers, except
-        # those the incomer j re-covers.  With j already counted in,
-        # cost(S + j - l) = cost + marg[j] - freed(l) + kept(j, l) where
-        # freed(l) sums singly-covered requirements of l and kept(j, l)
-        # restricts that sum to requirements j also needs.
-        singly_cost = costs_f * (counts == 1)
-        if sel_idx.size:
-            freed = closure_f[sel_idx] @ singly_cost
-            kept = (closure_f[out_idx] * singly_cost) @ closure_f[sel_idx].T
-            swap_cost = cost + marg[:, None] - freed[None, :] + kept
-            swap_ok = (swap_cost <= budget) & (profits[sel_idx][None, :] < profits[out_idx][:, None])
-        else:
-            swap_ok = np.zeros((out_idx.size, 0), dtype=bool)
-
+        sel_idx = cover.selected.nonzero()[0]
+        add_ok = cover.cost + cover.marginal[out_idx] <= budget
+        swap_ok = _improving_swaps(cover, budget, profits, out_idx, sel_idx)
         movable = add_ok | swap_ok.any(axis=1)
         if not movable.any():
             break
-
         order = gen.permutation(out_idx.size)
         pos = next(int(p) for p in order if movable[p])
-        j = int(out_idx[pos])
-
-        if add_ok[pos]:
-            counts += closure_f[j]
-            cost = int(cost + marg[pos])
-            profit += int(profits[j])
-            selected[j] = True
-        else:
-            # best feasible improving swap: maximize incoming-minus-outgoing
-            # profit, i.e. minimize the outgoing profit; ties to smaller id
-            ok = np.flatnonzero(swap_ok[pos])
-            l_pos = ok[int(np.argmin(profits[sel_idx[ok]]))]
-            l = int(sel_idx[l_pos])
-            counts += closure_f[j] - closure_f[l]
-            cost = int(swap_cost[pos, l_pos])
-            profit += int(profits[j]) - int(profits[l])
-            selected[j] = True
-            selected[l] = False
-
-    return evaluate(instance, (int(i) + 1 for i in np.flatnonzero(selected)))
+        cover.add(int(out_idx[pos]))
+        if not add_ok[pos]:
+            cover.drop(_best_swap(swap_ok[pos], sel_idx, profits))
+    return cover.solution()
 
 
 def fhc(instance: Instance, budget: int, params: FhcParams, seed: int) -> Solution:

@@ -12,6 +12,12 @@ of their profits.
 All ids are 1-based.  Instances are immutable after construction; the
 derived per-customer closures and the numpy views used by the solvers
 are computed once when the instance is built.
+
+:class:`CoverTracker` is the one mutable cover state the solvers share:
+a selection's mask, per-requirement counts, union cost and every
+customer's marginal add cost, kept up to date move by move.  It and
+:func:`evaluate` are the only readers of the closure matrix, so a change
+of closure representation stays inside this module.
 """
 
 from __future__ import annotations
@@ -126,8 +132,11 @@ class Instance:
                 closure_bool[i, r - 1] = True
 
         self._cost_vec = cost_vec
+        self._cost_f64 = cost_vec.astype(np.float64)
         self._profit_vec = np.asarray([c.profit for c in members], dtype=np.int64)
         self._closure_bool = closure_bool
+        # 0/1 entries against integer costs: every dot product stays exactly
+        # representable, so matmuls are bit-deterministic under any BLAS threading
         self._closure_f64 = closure_bool.astype(np.float64)
         self._closure_idx = tuple(np.flatnonzero(row) for row in closure_bool)
         self._closure_cost_vec = np.asarray([c.closure_cost for c in members], dtype=np.int64)
@@ -162,23 +171,6 @@ class Instance:
     def profit_vector(self) -> np.ndarray:
         self.require_valid()
         return self._profit_vec
-
-    @property
-    def closure_matrix(self) -> np.ndarray:
-        """Boolean (customers x requirements) closure membership."""
-        self.require_valid()
-        return self._closure_bool
-
-    @property
-    def closure_matrix_f(self) -> np.ndarray:
-        """Float64 copy of the closure matrix.
-
-        All entries are 0/1 and all dot products against integer cost
-        vectors stay exactly representable, so matmuls through this
-        view are bit-deterministic regardless of BLAS threading.
-        """
-        self.require_valid()
-        return self._closure_f64
 
     @property
     def closure_indices(self) -> tuple[np.ndarray, ...]:
@@ -328,7 +320,7 @@ def evaluate(instance: Instance, selected: Iterable[int]) -> Solution:
     idx = sorted({_customer_index(instance, c) for c in selected})
     if not idx:
         return Solution(frozenset(), frozenset(), 0, 0)
-    covered_mask = instance.closure_matrix[idx].any(axis=0)
+    covered_mask = instance._closure_bool[idx].any(axis=0)
     cost = int(instance.cost_vector[covered_mask].sum())
     profit = int(instance.profit_vector[idx].sum())
     covered = frozenset(int(r) + 1 for r in np.flatnonzero(covered_mask))
@@ -366,29 +358,99 @@ def _customer_index(instance: Instance, customer_id: int) -> int:
 
 
 class CoverTracker:
-    """Incremental union-cost state for greedy fills.
+    """The cover of one customer selection, updated move by move.
 
-    Tracks the covered-requirement set, the running cost, and the
-    marginal cost of adding each customer; ``add`` updates all three in
-    time proportional to the newly covered requirements.
+    State: the ``selected`` mask, ``counts`` (how many selected customers
+    need each requirement), the union ``cost``, and ``marginal``, every
+    customer's add cost against the current cover (zero when selected).
+    ``add`` and ``drop`` update all of it in time proportional to the
+    requirements whose coverage changes; ``swap_costs`` prices 1-swaps.
+    Values are integers held in float64, so every comparison is exact.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, start: Iterable[int] = ()):
+        """Cover of ``start`` (1-based customer ids), empty by default."""
         instance.require_valid()
         self._inst = instance
-        self.covered = np.zeros(instance.n_requirements, dtype=bool)
-        self.cost = 0
-        # against an empty cover the marginal cost is the closure cost
-        self.marginal = instance.closure_cost_vector.astype(np.float64)
+        self._idx = instance.closure_indices
+        self._cost_f = instance._cost_f64
+        self._closure_f = instance._closure_f64
+        self.selected = np.zeros(instance.n_customers, dtype=bool)
+        self.selected[[c - 1 for c in start]] = True
+        if self.selected.any():
+            self.counts = self._closure_f[self.selected].sum(axis=0)
+            uncovered = self._cost_f * (self.counts == 0)
+            self.cost = instance.total_cost - int(uncovered.sum())
+            self.marginal = self._closure_f @ uncovered
+        else:
+            self.counts = np.zeros(instance.n_requirements)
+            self.cost = 0
+            self.marginal = instance.closure_cost_vector.astype(np.float64)
 
     def add(self, index: int) -> None:
         """Add customer by 0-based index."""
-        inst = self._inst
-        new = inst.closure_indices[index][~self.covered[inst.closure_indices[index]]]
+        idx = self._idx[index]
+        counts = self.counts[idx]
+        new = idx[counts == 0]
+        self.counts[idx] = counts + 1
+        self.selected[index] = True
         if new.size:
-            self.cost += int(inst.cost_vector[new].sum())
-            self.covered[new] = True
-            self.marginal -= inst.closure_matrix_f[:, new] @ inst.cost_vector[new].astype(np.float64)
+            # customer ``index`` needs every newly covered requirement, so its
+            # entry of the marginal change is their whole cost
+            delta = self._closure_f[:, new] @ self._cost_f[new]
+            self.cost += int(delta[index])
+            self.marginal -= delta
+
+    def drop(self, index: int) -> None:
+        """Remove a selected customer by 0-based index."""
+        idx = self._idx[index]
+        counts = self.counts[idx] - 1
+        self.counts[idx] = counts
+        self.selected[index] = False
+        freed = idx[counts == 0]
+        if freed.size:
+            delta = self._closure_f[:, freed] @ self._cost_f[freed]
+            self.cost -= int(delta[index])
+            self.marginal += delta
 
     def marginal_of(self, index: int) -> int:
         return int(self.marginal[index])
+
+    def affordable(self, budget: int) -> np.ndarray:
+        """0-based ids of the unselected customers that fit within budget."""
+        return (~self.selected & (self.cost + self.marginal <= budget)).nonzero()[0]
+
+    def swap_costs(self, incoming, outgoing) -> np.ndarray:
+        """Union cost after swapping j in for l; rows follow ``incoming``, columns ``outgoing``.
+
+        ``incoming`` are unselected and ``outgoing`` selected 0-based ids.
+        Dropping l frees the requirements only l covers, except those j
+        re-covers: cost(S + j - l) = cost + marginal(j) - freed(l) + kept(j, l),
+        where freed(l) sums l's singly covered requirements and kept(j, l)
+        restricts that sum to the ones j needs.
+        """
+        # only singly covered requirements can be freed: sum over those columns
+        singly = (self.counts == 1).nonzero()[0]
+        cost = self._cost_f[singly]
+        rows = self._closure_f[:, singly]
+        out_rows = rows[outgoing]
+        kept = (rows[incoming] * cost) @ out_rows.T
+        return kept - out_rows @ cost + (self.cost + self.marginal[incoming])[:, None]
+
+    def solution(self) -> Solution:
+        """The current selection, evaluated."""
+        return evaluate(self._inst, (self.selected.nonzero()[0] + 1).tolist())
+
+
+def _construct(instance: Instance, budget: int, choose) -> Solution:
+    """Greedy fill: add ``choose(cover, candidates)`` until nothing affordable is left.
+
+    ``candidates`` are the 0-based ids :meth:`CoverTracker.affordable`
+    returns; ``choose`` picks one of them.
+    """
+    cover = CoverTracker(instance)
+    while True:
+        cand = cover.affordable(budget)
+        if cand.size == 0:
+            return cover.solution()
+        cover.add(choose(cover, cand))

@@ -3,10 +3,9 @@ import pytest
 
 import bruteforce as bf
 from nrpbench import (AcoParams, EmptyCandidateSetError, PheromoneState,
-                      ZeroClosureCostError, budget, construct_solution,
-                      deposit, evaporate, heuristic_info, init_pheromone,
-                      make_instance, rng, roulette_select,
-                      selection_probabilities)
+                      budget, construct_solution, deposit, evaporate,
+                      heuristic_info, init_pheromone, make_instance, rng,
+                      roulette_select, selection_probabilities, solve_one)
 from nrpbench.aco import run
 
 
@@ -26,10 +25,9 @@ def test_init_pheromone_single_customer():
     assert np.allclose(init_pheromone(inst).tau, [1.0])
 
 
-def test_init_pheromone_needs_customers():
-    inst = make_instance([1], [], [])
-    with pytest.raises(ValueError):
-        init_pheromone(inst)
+def test_init_pheromone_no_customers():
+    state = init_pheromone(make_instance([1], [], []))
+    assert state.theta == 1.0 and state.tau.size == 0
 
 
 def test_heuristic_info(toy):
@@ -42,10 +40,16 @@ def test_heuristic_info_scales_with_profit(toy):
     assert np.allclose(heuristic_info(doubled), 2 * heuristic_info(toy))
 
 
-def test_heuristic_info_empty_closure():
-    inst = make_instance([1], [], [(5, [])])
-    with pytest.raises(ZeroClosureCostError):
-        heuristic_info(inst)
+@pytest.mark.parametrize("algo", ["haco", "aco"])
+def test_colony_solves_degenerate_instances(algo):
+    # a customer with no requests costs nothing: eta uses max(1, closure cost)
+    free = make_instance([4, 3], [], [(5, []), (9, [1, 2])])
+    assert np.allclose(heuristic_info(free), [5.0, 9 / 7])
+    sol, _ = solve_one(free, 3, algo, 1, AcoParams(iterations=2, ants=2))
+    assert sol.selected == {1} and sol.profit == 5 and sol.cost == 0
+    assert bf.check_solution(free, sol, 3) == []
+    none, _ = solve_one(make_instance([2], [], []), 1, algo, 1)
+    assert none.selected == frozenset() and none.profit == 0
 
 
 def test_selection_probabilities_symmetric():
@@ -150,10 +154,7 @@ def test_construct_feasible_on_random_instances():
         inst = bf.random_small_instance(seed)
         b = budget(inst, 0.4)
         state = init_pheromone(inst)
-        try:
-            eta = heuristic_info(inst)
-        except ZeroClosureCostError:
-            continue
+        eta = heuristic_info(inst)
         sol = construct_solution(inst, b, state, eta, AcoParams(), rng.substream(seed, 99))
         assert bf.check_solution(inst, sol, b) == []
 

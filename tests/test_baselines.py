@@ -95,6 +95,13 @@ def test_expected_sa_attempts():
     assert expected_sa_attempts(doubled) == 2 * expected_sa_attempts(p)
 
 
+def test_sa_defaults_finish():
+    # whatever start temperature calibration picks, the default schedule
+    # stops after at most 1 / (final_temp * lm_beta) attempts
+    for t0 in (1.0, 20.0, 1e9):
+        assert expected_sa_attempts(SaParams(), t0) <= 200_000
+
+
 def test_sa_deterministic(toy):
     a = sa(toy, 10, FAST_SA, seed=7)
     b = sa(toy, 10, FAST_SA, seed=7)

@@ -221,3 +221,12 @@ def test_verify_dump_reports_discrepancies(toy):
     assert any("cost" in p for p in verify_dump(toy, {**good, "cost": 5}))
     assert any("covered" in p for p in verify_dump(toy, {**good, "covered": [3]}))
     assert any("budget" in p for p in verify_dump(toy, {**good, "budget": 5}))
+
+
+@pytest.mark.parametrize("change", [{"budget": "10"}, {"covered": 3}, {"cost": 6.0},
+                                    {"selected": [True]}])
+def test_verify_dump_rejects_malformed_fields(toy, change):
+    good = {"selected": [2, 3], "covered": [3, 4], "profit": 14, "cost": 6,
+            "budget": 10}
+    with pytest.raises(ValueError, match="malformed dump"):
+        verify_dump(toy, {**good, **change})

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nrpbench import read_instance, write_instance_file
+from nrpbench import make_instance, read_instance, write_instance_file
 
 
 def run_cli(*argv, cwd=None):
@@ -119,6 +119,40 @@ def test_solve_dump_then_verify(toy_file, tmp_path):
     dump.write_text(json.dumps(data))
     rc, _, err = run_cli("verify", toy_file, dump, "--budget-ratio", "1.0")
     assert rc == 2 and "budget" in err
+
+
+@pytest.mark.parametrize("dump", [
+    {"profit": 0, "cost": 0},  # no selection
+    [1, 2],  # not an object
+    {"selected": ["a"], "profit": 0, "cost": 0},  # ids must be integers
+])
+def test_verify_malformed_dump_is_a_data_error(toy_file, tmp_path, dump):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dump))
+    rc, _, err = run_cli("verify", toy_file, path)
+    assert rc == 2 and err.startswith("error: malformed dump")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("algo", ["haco", "aco"])
+def test_solve_colony_on_degenerate_instances(tmp_path, algo):
+    # customer 1 requests nothing: free profit that must be selected
+    free = tmp_path / "free.txt"
+    write_instance_file(make_instance([4, 3], [], [(5, []), (9, [1, 2])]), free)
+    rc, out, err = run_cli("solve", free, "--algo", algo, "--budget-ratio", "0.5",
+                           "--iters", "2", "--ants", "2")
+    assert rc == 0 and "Traceback" not in err
+    assert "profit: 5" in out and "cost: 0" in out and "selected: 1" in out
+    empty = tmp_path / "empty.txt"
+    write_instance_file(make_instance([2], [], []), empty)
+    rc, out, err = run_cli("solve", empty, "--algo", algo)
+    assert rc == 0 and "profit: 0" in out and "selected: -" in out
+
+
+def test_solve_sa_with_default_parameters(toy_file):
+    rc, out, _ = run_cli("solve", toy_file, "--algo", "sa", "--seed", "3",
+                         "--budget-ratio", "5/7")
+    assert rc == 0 and "budget: 10" in out and "profit:" in out
 
 
 def test_solve_guard_refusal(tmp_path):
