@@ -17,7 +17,9 @@ customers.
 be added or swapped in, so its output is a certified 1-swap local
 optimum: no feasible addition and no profit-improving feasible swap
 exists at all.  The ant-colony hybrid uses this stronger operator on
-each constructed solution.
+each constructed solution.  A pass prices swaps in doubling blocks of
+its random order and stops at the first block with a movable customer;
+the move is the one a full pricing of the order would give.
 
 The standalone restart solver climbs with `improve` from independent
 random feasible selections and keeps the best result.
@@ -116,6 +118,10 @@ def sweep_improve(instance: Instance, budget: int, start: Solution,
     the most profitable feasible one wins (ties: smaller outgoing id).
     The returned selection admits no feasible addition and no
     profit-improving 1-swap at all.
+
+    Every pass draws one ``gen.permutation`` of the unselected customers,
+    the last pass (which finds no move) included; :func:`_first_move`
+    prices only as much of that order as it needs.
     """
     cover = _start_cover(instance, budget, start)
     profits = instance.profit_vector
@@ -123,18 +129,43 @@ def sweep_improve(instance: Instance, budget: int, start: Solution,
         out_idx = (~cover.selected).nonzero()[0]
         if out_idx.size == 0:
             break
-        sel_idx = cover.selected.nonzero()[0]
-        add_ok = cover.cost + cover.marginal[out_idx] <= budget
-        swap_ok = _improving_swaps(cover, budget, profits, out_idx, sel_idx)
-        movable = add_ok | swap_ok.any(axis=1)
-        if not movable.any():
+        order = out_idx[gen.permutation(out_idx.size)]
+        move = _first_move(cover, budget, profits, order)
+        if move is None:
             break
-        order = gen.permutation(out_idx.size)
-        pos = next(int(p) for p in order if movable[p])
-        cover.add(int(out_idx[pos]))
-        if not add_ok[pos]:
-            cover.drop(_best_swap(swap_ok[pos], sel_idx, profits))
+        j, l = move
+        cover.add(j)
+        if l is not None:
+            cover.drop(l)
     return cover.solution()
+
+
+# rows priced by the first block of a pass; later blocks double in size
+_FIRST_BLOCK = 8
+
+
+def _first_move(cover: CoverTracker, budget: int, profits: np.ndarray,
+                order: np.ndarray) -> tuple[int, int | None] | None:
+    """(incoming, outgoing or None for an add) of the first movable customer in ``order``.
+
+    Adds are checked for the whole order at once; swaps are priced only
+    for the customers before the first feasible add, in disjoint blocks
+    that double in size, stopping at the first block with a movable one.
+    The last pass of a climb, which finds no move, prices each row once.
+    """
+    add_ok = (cover.cost + cover.marginal[order] <= budget).nonzero()[0]
+    end = int(add_ok[0]) if add_ok.size else order.size
+    sel_idx = cover.selected.nonzero()[0]
+    lo, size = 0, _FIRST_BLOCK
+    while lo < end:
+        block = order[lo:min(lo + size, end)]
+        ok = _improving_swaps(cover, budget, profits, block, sel_idx)
+        movable = ok.any(axis=1).nonzero()[0]
+        if movable.size:
+            row = int(movable[0])
+            return int(block[row]), _best_swap(ok[row], sel_idx, profits)
+        lo, size = lo + size, 2 * size
+    return (int(order[end]), None) if end < order.size else None
 
 
 def fhc(instance: Instance, budget: int, params: FhcParams, seed: int) -> Solution:

@@ -15,9 +15,13 @@ are computed once when the instance is built.
 
 :class:`CoverTracker` is the one mutable cover state the solvers share:
 a selection's mask, per-requirement counts, union cost and every
-customer's marginal add cost, kept up to date move by move.  It and
-:func:`evaluate` are the only readers of the closure matrix, so a change
-of closure representation stays inside this module.
+customer's marginal add cost, kept up to date move by move.  The closure
+is held as per-customer index arrays (``closure_indices``), as a CSR form
+of the same entries, which ``swap_costs`` reads, and as dense customer x
+requirement matrices: a boolean one for :func:`evaluate` and a float64
+one for the tracker's start, ``add`` and ``drop``.  Solvers read none of
+them directly, so a change of closure representation stays inside this
+module.
 """
 
 from __future__ import annotations
@@ -139,6 +143,12 @@ class Instance:
         # representable, so matmuls are bit-deterministic under any BLAS threading
         self._closure_f64 = closure_bool.astype(np.float64)
         self._closure_idx = tuple(np.flatnonzero(row) for row in closure_bool)
+        # CSR form of the closure: customer i's requirements are
+        # _csr_req[_csr_ptr[i]:_csr_ptr[i + 1]]
+        self._csr_ptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum([idx.size for idx in self._closure_idx], out=self._csr_ptr[1:])
+        self._csr_req = (np.concatenate(self._closure_idx) if m
+                         else np.zeros(0, dtype=np.intp))
         self._closure_cost_vec = np.asarray([c.closure_cost for c in members], dtype=np.int64)
 
     # -- structure ---------------------------------------------------------
@@ -428,18 +438,43 @@ class CoverTracker:
         re-covers: cost(S + j - l) = cost + marginal(j) - freed(l) + kept(j, l),
         where freed(l) sums l's singly covered requirements and kept(j, l)
         restricts that sum to the ones j needs.
+
+        A singly covered requirement has one *owner*, the selected customer
+        that needs it, found from the closure entries of ``outgoing``.  Both
+        sums are then weighted counts: freed of requirement costs by owner,
+        kept of the incoming rows' entries by (row, owner's column); owners
+        outside ``outgoing`` are dropped.  Apart from one pass over the
+        requirements, work is proportional to the closures of the customers
+        involved.
         """
-        # only singly covered requirements can be freed: sum over those columns
-        singly = (self.counts == 1).nonzero()[0]
-        cost = self._cost_f[singly]
-        rows = self._closure_f[:, singly]
-        out_rows = rows[outgoing]
-        kept = (rows[incoming] * cost) @ out_rows.T
-        return kept - out_rows @ cost + (self.cost + self.marginal[incoming])[:, None]
+        n_out = len(outgoing)
+        col, req = _closure_entries(self._inst, outgoing)
+        # column n_out collects the requirements no outgoing customer owns
+        owner = np.full(self._inst.n_requirements, n_out, dtype=np.intp)
+        owner[req] = col
+        owner[self.counts != 1] = n_out
+        freed = np.bincount(owner, weights=self._cost_f, minlength=n_out + 1)[:n_out]
+        row, req = _closure_entries(self._inst, incoming)
+        n_in = len(incoming)
+        kept = np.bincount(row * (n_out + 1) + owner[req], weights=self._cost_f[req],
+                           minlength=n_in * (n_out + 1)).reshape(n_in, n_out + 1)
+        return kept[:, :n_out] - freed + (self.cost + self.marginal[incoming])[:, None]
 
     def solution(self) -> Solution:
         """The current selection, evaluated."""
         return evaluate(self._inst, (self.selected.nonzero()[0] + 1).tolist())
+
+
+def _closure_entries(instance: Instance, customers) -> tuple[np.ndarray, np.ndarray]:
+    """The closure entries of ``customers`` (0-based ids), as (position in
+    ``customers``, requirement index) pairs, customer by customer."""
+    customers = np.asarray(customers, dtype=np.intp)
+    starts = instance._csr_ptr[customers]
+    sizes = instance._csr_ptr[customers + 1] - starts
+    pos = np.repeat(np.arange(customers.size), sizes)
+    # entry k of the result is entry k - first[pos] of its customer's closure
+    first = np.cumsum(sizes) - sizes
+    return pos, instance._csr_req[np.arange(pos.size) + (starts - first)[pos]]
 
 
 def _construct(instance: Instance, budget: int, choose) -> Solution:

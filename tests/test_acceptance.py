@@ -173,8 +173,10 @@ def test_criterion_7_midsize_instance_within_budget(criterion):
 
 
 def _cli(*argv):
+    # a hung solver fails this criterion with TimeoutExpired instead of
+    # stalling the suite
     return subprocess.run([sys.executable, "-m", "nrpbench.cli",
-                           *map(str, argv)], capture_output=True, text=True)
+                           *map(str, argv)], capture_output=True, text=True, timeout=300)
 
 
 BENCH_INI = """\

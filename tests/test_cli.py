@@ -10,9 +10,14 @@ import pytest
 from nrpbench import make_instance, read_instance, write_instance_file
 
 
+# a CLI call that runs longer fails its test with TimeoutExpired instead of
+# stalling the suite
+CLI_TIMEOUT_S = 300
+
+
 def run_cli(*argv, cwd=None):
     proc = subprocess.run([sys.executable, "-m", "nrpbench.cli", *map(str, argv)],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, timeout=CLI_TIMEOUT_S)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -1,8 +1,9 @@
 import pytest
 
 import bruteforce as bf
-from nrpbench import (FhcParams, InfeasibleStartError, budget, evaluate, fhc,
-                      improve, random_feasible, rng, sweep_improve)
+from nrpbench import (CoverTracker, FhcParams, InfeasibleStartError, budget,
+                      builtin_spec, evaluate, fhc, generate, improve, random_feasible,
+                      rng, sweep_improve)
 
 
 def test_random_feasible_boundaries(toy):
@@ -89,6 +90,76 @@ def test_sweep_improve_certificate_on_randoms():
         assert out.profit >= start.profit
         assert bf.check_solution(inst, out, b) == []
         assert bf.has_improving_move(inst, out, b) is None
+
+
+def _reference_sweep(inst, bud, start, gen):
+    """sweep_improve's move rule with every row priced by brute force.
+
+    Each pass draws the same permutation of the unselected ids, scans it
+    for the first customer that can be added or swapped in at a profit
+    gain, and takes the add, else the swap out of the least profitable
+    feasible partner (ties: smaller id).  Returns the moves as events.
+    """
+    clos = {c.id: bf.brute_closure(inst, c.requests) for c in inst.customers}
+    req_cost = {r.id: r.cost for r in inst.requirements}
+    profit = {c.id: c.profit for c in inst.customers}
+
+    def cost(sel):
+        return sum(req_cost[r] for r in set().union(*(clos[c] for c in sel)))
+
+    selected = set(start.selected)
+    events = []
+    while True:
+        outside = sorted(set(clos) - selected)
+        if not outside:
+            return events
+        for j in (outside[p] for p in gen.permutation(len(outside))):
+            if cost(selected | {j}) <= bud:
+                events.append(("add", j))
+                selected.add(j)
+                break
+            swaps = [l for l in selected
+                     if profit[l] < profit[j] and cost(selected - {l} | {j}) <= bud]
+            if swaps:
+                l = min(swaps, key=lambda c: (profit[c], c))
+                events += [("add", j), ("drop", l)]
+                selected = selected - {l} | {j}
+                break
+        else:
+            return events
+
+
+@pytest.mark.parametrize("ratio", ["0.3", "0.5", "0.7"])
+def test_sweep_improve_matches_brute_force_reference(ratio, monkeypatch):
+    # NRP-1 has 100 customers, about half of them unselected, so passes run
+    # well past sweep_improve's first block of priced rows
+    inst = generate(builtin_spec("NRP-1"), 1)
+    bud = budget(inst, ratio)
+    events = []
+    add, drop = CoverTracker.add, CoverTracker.drop
+
+    def record_add(self, index):
+        events.append(("add", index + 1))
+        add(self, index)
+
+    def record_drop(self, index):
+        events.append(("drop", index + 1))
+        drop(self, index)
+
+    for seed in (1, 2, 3):
+        gen, ref_gen = rng.substream(seed, 56), rng.substream(seed, 56)
+        start = random_feasible(inst, bud, gen)
+        assert random_feasible(inst, bud, ref_gen) == start
+        events.clear()
+        with monkeypatch.context() as m:
+            m.setattr(CoverTracker, "add", record_add)
+            m.setattr(CoverTracker, "drop", record_drop)
+            out = sweep_improve(inst, bud, start, gen)
+        assert events == _reference_sweep(inst, bud, start, ref_gen)
+        assert any(e[0] == "drop" for e in events)
+        # same number of permutation draws, the last (moveless) pass included
+        assert gen.random() == ref_gen.random()
+        assert bf.check_solution(inst, out, bud) == []
 
 
 def test_fhc_escapes_local_optimum_with_restarts(toy):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, FhcParams, GraspParams, SaParams,
-                      evaluate, make_instance, marginal_cost, random_feasible, rng,
-                      solve_one, sweep_improve)
+                      evaluate, make_instance, marginal_cost, random_feasible,
+                      read_instance, rng, solve_one, sweep_improve, write_instance)
 
 # derandomized: the tier-1 suite gives the same verdict on every run
 FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -51,11 +51,16 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
         fresh = CoverTracker(inst, chosen)
         assert fresh.cost == cover.cost
         assert (fresh.marginal == cover.marginal).all()
-        for j in set(range(1, inst.n_customers + 1)) - chosen:
-            outgoing = sorted(chosen)
-            row = cover.swap_costs([j - 1], [c - 1 for c in outgoing])[0]
-            for l, cost in zip(outgoing, row):
-                assert cost == evaluate(inst, chosen - {l} | {j}).cost
+        incoming = sorted(set(range(1, inst.n_customers + 1)) - chosen)
+        outgoing = sorted(chosen)
+        # all rows at once, against the whole selection and against a strict
+        # subset in reverse order (owners outside it must be dropped)
+        for cols in (outgoing, outgoing[1::2][::-1]):
+            costs = cover.swap_costs([j - 1 for j in incoming], [l - 1 for l in cols])
+            assert costs.shape == (len(incoming), len(cols))
+            for j, row in zip(incoming, costs):
+                for l, cost in zip(cols, row):
+                    assert cost == evaluate(inst, chosen - {l} | {j}).cost
 
 
 SOLVERS = (("haco", AcoParams(iterations=2, ants=2)),
@@ -85,3 +90,9 @@ def test_sweep_improve_leaves_no_move(case, seed):
     assert out.profit >= start.profit
     assert bf.check_solution(inst, out, bud) == []
     assert bf.has_improving_move(inst, out, bud) is None
+
+
+@FAST
+@given(instances())
+def test_write_read_round_trip(inst):
+    assert read_instance(write_instance(inst)) == inst
