@@ -16,7 +16,7 @@ without it, plain ACO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,12 @@ class EmptyCandidateSetError(Exception):
 
 @dataclass
 class AcoParams:
-    alpha: float = 1.1
-    beta: float = 1.5
-    gamma: float = 0.020
-    rho: float = 0.13
-    ants: int = 10
-    iterations: int = 10
+    alpha: float = field(default=1.1, metadata={"help": "pheromone exponent"})
+    beta: float = field(default=1.5, metadata={"help": "heuristic exponent"})
+    gamma: float = field(default=0.020, metadata={"help": "deposit scale"})
+    rho: float = field(default=0.13, metadata={"help": "evaporation rate"})
+    ants: int = field(default=10, metadata={"help": "ants per iteration"})
+    iterations: int = field(default=10, metadata={"help": "pheromone iterations"})
     use_local_search: bool = True
 
     def __post_init__(self):

@@ -17,7 +17,7 @@ with a remaining-profit bound and is guarded to small customer counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,8 +32,8 @@ class TooLargeError(Exception):
 
 @dataclass
 class GraspParams:
-    restarts: int = 100
-    rcl_length: int = 10
+    restarts: int = field(default=100, metadata={"help": "restarts"})
+    rcl_length: int = field(default=10, metadata={"help": "candidate list length"})
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -44,10 +44,11 @@ class GraspParams:
 
 @dataclass
 class SaParams:
-    lm_beta: float = 0.05
-    initial_temp: float | None = None  # None: calibrate from probe moves
-    final_temp: float = 1e-4
-    moves_per_temp: int = 1
+    lm_beta: float = field(default=0.05, metadata={"help": "cooling parameter"})
+    # None: calibrate from probe moves
+    initial_temp: float | None = field(default=None, metadata={"help": "fixed start temperature"})
+    final_temp: float = field(default=1e-4, metadata={"help": "stop temperature"})
+    moves_per_temp: int = field(default=1, metadata={"help": "moves per cooling step"})
 
     def __post_init__(self):
         if self.lm_beta <= 0:

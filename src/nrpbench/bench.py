@@ -1,11 +1,11 @@
 """Benchmark harness: a (instance x budget ratio x algorithm x seed) matrix.
 
 Configs are INI files: a ``[bench]`` section lists instance sources,
-ratios, seeds, and algorithms, and an optional section per algorithm
-overrides its solver parameters.  Every cell is an independent job, so
-the matrix can run across processes; results are sorted afterwards and
-the output never depends on scheduling.  Wall time is measured around
-the solver call only.
+ratios, seeds, and algorithms; an optional section per algorithm sets
+fields of its params class (see the solver registry), and any other
+section is an error.  Every cell is an independent job, so the matrix can
+run across processes; results are sorted afterwards and the output never
+depends on scheduling.  Wall time is measured around the solver call only.
 
 Output: a fixed-schema CSV (instance, ratio, algorithm, seed, profit,
 cost, budget, time_s, extra) plus a markdown table with one row per
@@ -18,8 +18,10 @@ from __future__ import annotations
 import concurrent.futures
 import configparser
 import json
+import math
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,8 +31,6 @@ from .fileformat import read_instance_file
 from .generate import GenSpec, builtin_spec, generate
 from .local_search import FhcParams, fhc
 from .model import Instance, Solution, budget as budget_of, evaluate
-
-ALGORITHMS = ("haco", "aco", "fhc", "grasp", "sa", "exact")
 
 CSV_COLUMNS = ("instance", "ratio", "algorithm", "seed", "profit", "cost",
                "budget", "time_s", "extra")
@@ -90,44 +90,75 @@ def _load_cached(source) -> Instance:
     return inst
 
 
-# -- solver dispatch --------------------------------------------------------
+# -- solver registry --------------------------------------------------------
+
+# algorithm -> (params class, fields it pins, field reported as effort, call).
+# Each call looks its solver up by name, so a tracer rebinding ``sa`` here sees it.
+_SOLVERS = {
+    "haco": (AcoParams, {"use_local_search": True}, "iterations", lambda *a: run(*a).best),
+    "aco": (AcoParams, {"use_local_search": False}, "iterations", lambda *a: run(*a).best),
+    "fhc": (FhcParams, {}, "restarts", lambda *a: fhc(*a)),
+    "grasp": (GraspParams, {}, "restarts", lambda *a: grasp(*a)),
+    "sa": (SaParams, {}, None, lambda *a: sa(*a)),
+    "exact": (None, {}, None, lambda instance, bud, params, seed: exact(instance, bud)),
+}
+ALGORITHMS = tuple(_SOLVERS)
+# the only public names that differ from their fields: field -> (INI key, flag)
+_RENAMED = {"rcl_length": ("rcl", "rcl"), "iterations": ("iterations", "iters")}
+# one parameter: params field, INI key, ``solve`` flag (argparse dest), int or float, help
+_Param = namedtuple("_Param", "field key flag type help")
+
+
+def _solver(algo: str) -> tuple:
+    if algo not in _SOLVERS:
+        raise ValueError(f"unknown algorithm {algo!r}; valid: {', '.join(ALGORITHMS)}")
+    return _SOLVERS[algo]
+
+
+def _params_of(algo: str) -> list[_Param]:
+    """The parameters ``algo`` takes: its params fields, less the pinned ones."""
+    cls, pinned, _, _ = _solver(algo)
+    # a postponed annotation (``from __future__ import annotations``) is a string
+    return [_Param(f.name, *_RENAMED.get(f.name, (f.name, f.name)),
+                   int if f.type in (int, "int") else float, f.metadata["help"])
+            for f in (fields(cls) if cls else ()) if f.name not in pinned]
+
+
+def _parse_params(algo: str, given, error: type[Exception]):
+    """``algo``'s default parameters with ``given`` (``_Param``, text or number) pairs
+    applied; a value that is no finite number of its field's type, or that the
+    params class rejects, raises ``error``."""
+    params = default_params(algo)
+    changes = {}
+    for p, raw in given:
+        try:
+            changes[p.field] = value = p.type(raw)
+        except ValueError:  # not a number of the field's type: refused below, like NaN
+            value = math.nan
+        if not math.isfinite(value):
+            kind = "integer" if p.type is int else "number"
+            raise error(f"{p.key} must be a finite {kind}, got {raw!r}")
+    try:
+        return replace(params, **changes) if changes else params
+    except ValueError as e:
+        raise error(str(e)) from None
 
 
 def default_params(algo: str):
-    if algo == "haco":
-        return AcoParams(use_local_search=True)
-    if algo == "aco":
-        return AcoParams(use_local_search=False)
-    if algo == "fhc":
-        return FhcParams()
-    if algo == "grasp":
-        return GraspParams()
-    if algo == "sa":
-        return SaParams()
-    if algo == "exact":
-        return None
-    raise ValueError(f"unknown algorithm {algo!r}; valid: {', '.join(ALGORITHMS)}")
+    cls, pinned, _, _ = _solver(algo)
+    return None if cls is None else cls(**pinned)
 
 
 def solve_one(instance: Instance, budget_value: int, algo: str, seed: int,
               params=None) -> tuple[Solution, int | None]:
     """Run one solver; returns the solution and its effort knob (if any)."""
+    _, pinned, effort, call = _solver(algo)
     if params is None:
         params = default_params(algo)
-    if algo in ("haco", "aco"):
-        want_ls = algo == "haco"
-        if params.use_local_search != want_ls:
-            params = replace(params, use_local_search=want_ls)
-        return run(instance, budget_value, params, seed).best, params.iterations
-    if algo == "fhc":
-        return fhc(instance, budget_value, params, seed), params.restarts
-    if algo == "grasp":
-        return grasp(instance, budget_value, params, seed), params.restarts
-    if algo == "sa":
-        return sa(instance, budget_value, params, seed), None
-    if algo == "exact":
-        return exact(instance, budget_value), None
-    raise ValueError(f"unknown algorithm {algo!r}; valid: {', '.join(ALGORITHMS)}")
+    elif pinned:
+        params = replace(params, **pinned)
+    sol = call(instance, budget_value, params, seed)
+    return sol, None if effort is None else getattr(params, effort)
 
 
 # -- configuration ----------------------------------------------------------
@@ -149,31 +180,13 @@ class ConfigError(Exception):
     pass
 
 
-def _apply_overrides(algo: str, section) -> object:
-    p = default_params(algo)
-    if p is None:
-        if section:
-            raise ConfigError("the exact solver takes no parameters")
-        return None
-    fields = {
-        "haco": {"iterations": int, "ants": int, "alpha": float, "beta": float,
-                 "gamma": float, "rho": float},
-        "aco": {"iterations": int, "ants": int, "alpha": float, "beta": float,
-                "gamma": float, "rho": float},
-        "fhc": {"restarts": int},
-        "grasp": {"restarts": int, "rcl": int},
-        "sa": {"lm_beta": float, "initial_temp": float, "final_temp": float,
-               "moves_per_temp": int},
-    }[algo]
-    for key, raw in section.items():
-        if key not in fields:
+def _section_params(algo: str, section) -> object:
+    keys = {p.key: p for p in _params_of(algo)}
+    for key in section:
+        if key not in keys:
             raise ConfigError(f"[{algo}] has no parameter {key!r}")
-        if raw.strip() == "":
-            continue
-        value = fields[key](raw)
-        attr = "rcl_length" if key == "rcl" else key
-        p = replace(p, **{attr: value})
-    return p
+    given = [(keys[key], raw) for key, raw in section.items() if raw.strip()]
+    return _parse_params(algo, given, ConfigError)
 
 
 def parse_bench_config(path) -> BenchConfig:
@@ -217,14 +230,15 @@ def parse_bench_config(path) -> BenchConfig:
         seeds = [int(s) for s in b.get("seeds", "1").split()]
     except ValueError:
         raise ConfigError("seeds must be integers") from None
-    algorithms = b.get("algorithms", "haco aco fhc grasp sa").split()
-    for a in algorithms:
+    # by default all but exact, which refuses large instances
+    algorithms = b.get("algorithms", " ".join(a for a in ALGORITHMS if a != "exact")).split()
+    for a in algorithms + [s for s in cfg.sections() if s != "bench"]:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}; valid: {', '.join(ALGORITHMS)}")
     if not ratios or not seeds or not algorithms:
         raise ConfigError("config needs at least one ratio, seed, and algorithm")
 
-    params = {a: _apply_overrides(a, cfg[a] if a in cfg else {}) for a in algorithms}
+    params = {a: _section_params(a, cfg[a] if a in cfg else {}) for a in algorithms}
 
     out = b.get("out", "").strip() or None
     if out and not Path(out).is_absolute():

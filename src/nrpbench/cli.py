@@ -4,9 +4,9 @@ Subcommands: ``gen`` (write a benchmark instance), ``solve`` (run one
 algorithm on one instance), ``bench`` (run a config-driven matrix), and
 ``verify`` (re-evaluate a dumped solution against its instance).
 
-Exit codes: 0 success, 1 usage/config error, 2 data error (unparsable or
-invalid input, failed verification), 3 guard refusal (instance too large
-for the exact solver).
+Exit codes: 0 success, 1 usage/config error (a bad parameter value
+included), 2 data error (unparsable or invalid input, failed
+verification), 3 guard refusal (instance too large for the exact solver).
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .baselines import TooLargeError
-from .bench import (ConfigError, _dump_payload, default_params, parse_bench_config,
-                    run_bench, solve_one, verify_dump, ALGORITHMS)
+from .bench import (ConfigError, _dump_payload, _params_of, _parse_params,
+                    parse_bench_config, run_bench, solve_one, verify_dump, ALGORITHMS)
 from .fileformat import ParseError, read_instance_file, write_instance
 from .generate import builtin_names, builtin_spec, generate, spec_from_dict
 from .model import InvalidInstanceError, budget as budget_of, evaluate
@@ -59,18 +58,9 @@ def _build_parser() -> _Parser:
                    help="budget as a fraction of total requirement cost")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--dump", help="write the solution as JSON here")
-    s.add_argument("--iters", type=int, help="pheromone iterations (haco/aco)")
-    s.add_argument("--ants", type=int, help="ants per iteration (haco/aco)")
-    s.add_argument("--alpha", type=float, help="pheromone exponent (haco/aco)")
-    s.add_argument("--beta", type=float, help="heuristic exponent (haco/aco)")
-    s.add_argument("--gamma", type=float, help="deposit scale (haco/aco)")
-    s.add_argument("--rho", type=float, help="evaporation rate (haco/aco)")
-    s.add_argument("--restarts", type=int, help="restarts (fhc/grasp)")
-    s.add_argument("--rcl", type=int, help="candidate list length (grasp)")
-    s.add_argument("--lm-beta", type=float, help="cooling parameter (sa)")
-    s.add_argument("--initial-temp", type=float, help="fixed start temperature (sa)")
-    s.add_argument("--final-temp", type=float, help="stop temperature (sa)")
-    s.add_argument("--moves-per-temp", type=int, help="moves per cooling step (sa)")
+    for flag, (param, algos) in _solve_flags().items():
+        s.add_argument("--" + flag.replace("_", "-"), type=param.type,
+                       help=f"{param.help} ({'/'.join(algos)})")
 
     b = sub.add_parser("bench", help="run a benchmark matrix from a config file")
     b.add_argument("config", help="INI config file")
@@ -86,31 +76,25 @@ def _build_parser() -> _Parser:
     return top
 
 
-_FLAG_FIELDS = {
-    "haco": {"iters": "iterations", "ants": "ants", "alpha": "alpha",
-             "beta": "beta", "gamma": "gamma", "rho": "rho"},
-    "fhc": {"restarts": "restarts"},
-    "grasp": {"restarts": "restarts", "rcl": "rcl_length"},
-    "sa": {"lm_beta": "lm_beta", "initial_temp": "initial_temp",
-           "final_temp": "final_temp", "moves_per_temp": "moves_per_temp"},
-    "exact": {},
-}
-_FLAG_FIELDS["aco"] = _FLAG_FIELDS["haco"]
-_ALL_FLAGS = ("iters", "ants", "alpha", "beta", "gamma", "rho", "restarts",
-              "rcl", "lm_beta", "initial_temp", "final_temp", "moves_per_temp")
+def _solve_flags() -> dict:
+    """Each ``solve`` flag's argparse dest -> (its parameter, the algorithms it sets)."""
+    flags: dict = {}
+    for algo in ALGORITHMS:
+        for param in _params_of(algo):
+            flags.setdefault(param.flag, (param, []))[1].append(algo)
+    return flags
 
 
 def _solver_params(args):
-    fields = _FLAG_FIELDS[args.algo]
-    params = default_params(args.algo)
-    for flag in _ALL_FLAGS:
+    given = []
+    for flag, (param, algos) in _solve_flags().items():
         value = getattr(args, flag)
         if value is None:
             continue
-        if flag not in fields:
+        if args.algo not in algos:
             raise UsageError(f"--{flag.replace('_', '-')} does not apply to {args.algo}")
-        params = replace(params, **{fields[flag]: value})
-    return params
+        given.append((param, value))
+    return _parse_params(args.algo, given, UsageError)
 
 
 def _cmd_gen(args) -> int:

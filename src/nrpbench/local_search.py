@@ -27,7 +27,7 @@ random feasible selections and keeps the best result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class InfeasibleStartError(Exception):
 
 @dataclass
 class FhcParams:
-    restarts: int = 100
+    restarts: int = field(default=100, metadata={"help": "restarts"})
 
     def __post_init__(self):
         if self.restarts < 1:

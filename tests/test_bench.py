@@ -4,8 +4,8 @@ import pytest
 
 from nrpbench import (AcoParams, BenchConfig, ConfigError, FhcParams,
                       FileSource, GenSource, GraspParams, SaParams, budget,
-                      builtin_spec, default_params, evaluate, make_instance,
-                      parse_bench_config, run_bench, solve_one, verify_dump,
+                      builtin_spec, default_params, evaluate, generate, make_instance,
+                      parse_bench_config, run, run_bench, solve_one, verify_dump,
                       write_instance_file)
 
 TOY_ARGS = ([5, 3, 4, 2], [(1, 2), (3, 4)], [(10, [2]), (8, [3]), (6, [4])])
@@ -46,6 +46,14 @@ def test_solve_one_forces_local_search_flag(toy):
     # asking for plain aco with a haco-flavored params object still runs aco
     sol, _ = solve_one(toy, 7, "aco", 2, AcoParams(iterations=3, use_local_search=True))
     assert sol.cost <= 7
+    # and the other way round, on an instance where the two differ
+    inst = generate(builtin_spec("NRP-1"), 1)
+    bud = budget(inst, "0.5")
+    for algo, wrong in (("aco", True), ("haco", False)):
+        sol, _ = solve_one(inst, bud, algo, 1, AcoParams(iterations=2, ants=3,
+                                                           use_local_search=wrong))
+        want = run(inst, bud, AcoParams(iterations=2, ants=3, use_local_search=not wrong), 1)
+        assert sol == want.best, algo
 
 
 def test_parse_config_full(tmp_path, toy):
@@ -67,6 +75,10 @@ restarts = 5
 [grasp]
 restarts = 4
 rcl = 3
+
+; an algorithm the matrix does not run may keep its section
+[sa]
+lm_beta = 0.5
 """)
     cfg = parse_bench_config(tmp_path / "bench.ini")
     assert cfg.sources == [GenSource(builtin_spec("NRP-1"), 7),
@@ -76,6 +88,7 @@ rcl = 3
     assert cfg.algorithms == ["fhc", "grasp"]
     assert cfg.params["fhc"] == FhcParams(restarts=5)
     assert cfg.params["grasp"] == GraspParams(restarts=4, rcl_length=3)
+    assert "sa" not in cfg.params
     assert cfg.out == str(tmp_path / "results/run")
     assert cfg.dump_dir == str(tmp_path / "dumps")
     assert cfg.jobs == 2
@@ -101,6 +114,14 @@ def test_parse_config_errors(tmp_path):
         "badfamily.ini": "[bench]\ngenerate = NRP-9@1\n",
         "badparam.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = fhc\n[fhc]\nrho = 0.5\n",
         "exactparam.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = exact\n[exact]\nx = 1\n",
+        # values the params class rejects, or that are no finite number of the field's type
+        "badrho.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = haco\n[haco]\nrho = 2\n",
+        "badants.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = haco\n[haco]\nants = many\n",
+        "fracants.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = aco\n[aco]\nants = 2.5\n",
+        "nanbeta.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = sa\n[sa]\nlm_beta = nan\n",
+        "infgamma.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = aco\n[aco]\ngamma = inf\n",
+        # a section that names neither bench nor an algorithm
+        "typosection.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = haco\n[hac]\nants = 3\n",
     }
     for name, text in cases.items():
         path = tmp_path / name

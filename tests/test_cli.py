@@ -1,13 +1,20 @@
-"""End-to-end command line tests; every case runs the real entry point
-in a subprocess so exit codes and stream separation are the shipped ones."""
+"""Command line tests.  The end-to-end cases run the real entry point in a
+subprocess so exit codes and stream separation are the shipped ones; the
+parameter surface and the exit-code fuzzing run ``cli`` in process."""
 
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nrpbench import make_instance, read_instance, write_instance_file
+from nrpbench import (ALGORITHMS, ConfigError, cli, default_params, make_instance,
+                      parse_bench_config, read_instance, write_instance_file)
 
 
 # a CLI call that runs longer fails its test with TimeoutExpired instead of
@@ -176,6 +183,13 @@ def test_solve_usage_errors(toy_file):
     assert rc == 1 and "budget-ratio" in err
     rc, _, _ = run_cli("solve", toy_file, "--seed", "-1")
     assert rc == 1
+    # bad parameter values are usage errors, not data errors
+    rc, _, err = run_cli("solve", toy_file, "--algo", "haco", "--rho", "2")
+    assert rc == 1 and err.startswith("usage error:") and "rho" in err
+    rc, _, err = run_cli("solve", toy_file, "--algo", "grasp", "--rcl", "0")
+    assert rc == 1 and err.startswith("usage error:") and "rcl" in err
+    rc, _, err = run_cli("solve", toy_file, "--algo", "sa", "--lm-beta", "nan")
+    assert rc == 1 and "finite" in err
 
 
 def test_solve_data_errors(tmp_path):
@@ -243,6 +257,10 @@ def test_bench_config_errors(tmp_path):
     cfg.write_text("[bench]\ngenerate = NRP-1@1\nalgorithms = fhc\n[fhc]\nrho = 1\n")
     rc, _, err = run_cli("bench", cfg)
     assert rc == 1 and "no parameter" in err
+    for body, phrase in (("rho = 2", "rho"), ("ants = many", "ants")):
+        cfg.write_text(f"[bench]\ngenerate = NRP-1@1\nalgorithms = haco\n[haco]\n{body}\n")
+        rc, _, err = run_cli("bench", cfg)
+        assert rc == 1 and err.startswith("config error:") and phrase in err
 
 
 def test_bench_jobs_flag_overrides(toy_file, tmp_path):
@@ -254,3 +272,118 @@ def test_bench_jobs_flag_overrides(toy_file, tmp_path):
     assert rc1 == rc2 == 0
     strip = lambda p: [r.split(",")[:7] for r in p.read_text().splitlines()]
     assert strip(tmp_path / "j2.csv") == strip(tmp_path / "j1.csv")
+
+
+# -- parameter surface (in process) ---------------------------------------------
+
+# the documented surface, written out by hand:
+# algorithm -> {INI key: (solve flag, params field, a valid value)}
+_ANTS = {"iterations": ("--iters", "iterations", 3), "ants": ("--ants", "ants", 3),
+         "alpha": ("--alpha", "alpha", 0.5), "beta": ("--beta", "beta", 0.5),
+         "gamma": ("--gamma", "gamma", 0.5), "rho": ("--rho", "rho", 0.5)}
+SURFACE = {
+    "haco": _ANTS,
+    "aco": _ANTS,
+    "fhc": {"restarts": ("--restarts", "restarts", 3)},
+    "grasp": {"restarts": ("--restarts", "restarts", 3), "rcl": ("--rcl", "rcl_length", 3)},
+    "sa": {"lm_beta": ("--lm-beta", "lm_beta", 0.5),
+           "initial_temp": ("--initial-temp", "initial_temp", 0.5),
+           "final_temp": ("--final-temp", "final_temp", 0.01),
+           "moves_per_temp": ("--moves-per-temp", "moves_per_temp", 3)},
+    "exact": {},
+}
+PARAM_FLAGS = {flag for keys in SURFACE.values() for flag, _, _ in keys.values()}
+
+
+def _from_flags(algo, *argv):
+    args = cli._build_parser().parse_args(["solve", "x.txt", "--algo", algo, *argv])
+    return cli._solver_params(args)
+
+
+def _from_section(tmp_path, algo, body):
+    path = tmp_path / "params.ini"
+    path.write_text(f"[bench]\ngenerate = NRP-1@1\nalgorithms = {algo}\n[{algo}]\n{body}\n")
+    return parse_bench_config(path).params[algo]
+
+
+def test_solve_has_exactly_the_parameter_flags():
+    top = cli._build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for action in sub.choices["solve"]._actions for o in action.option_strings}
+    assert options == {"-h", "--help", "--algo", "--budget-ratio", "--seed", "--dump"} | PARAM_FLAGS
+    assert tuple(SURFACE) == ALGORITHMS
+
+
+@pytest.mark.parametrize("algo", SURFACE)
+def test_flags_and_ini_keys_set_the_same_fields(algo, tmp_path):
+    own = set()
+    for key, (flag, field, value) in SURFACE[algo].items():
+        own.add(flag)
+        from_flag = _from_flags(algo, flag, str(value))
+        from_key = _from_section(tmp_path, algo, f"{key} = {value}")
+        assert from_flag == from_key == replace(default_params(algo), **{field: value})
+        assert type(getattr(from_key, field)) is type(value), key
+    for flag in sorted(PARAM_FLAGS - own):
+        with pytest.raises(cli.UsageError, match="does not apply"):
+            _from_flags(algo, flag, "1")
+    # the algorithm pins use_local_search: neither a flag nor a key
+    with pytest.raises(cli.UsageError):
+        _from_flags(algo, "--use-local-search", "1")
+    with pytest.raises(ConfigError, match="no parameter"):
+        _from_section(tmp_path, algo, "use_local_search = 1")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_parameters_are_refused(text, tmp_path):
+    floats = [(algo, key, flag) for algo, keys in SURFACE.items()
+              for key, (flag, _, value) in keys.items() if isinstance(value, float)]
+    assert len(floats) == 2 * 4 + 3
+    for algo, key, flag in floats:
+        with pytest.raises(cli.UsageError, match="finite"):
+            _from_flags(algo, f"{flag}={text}")
+        with pytest.raises(ConfigError, match="finite"):
+            _from_section(tmp_path, algo, f"{key} = {text}")
+
+
+# -- exit-code fuzzing (in process) ---------------------------------------------
+
+COUNT_FLAGS = ("--iters", "--ants", "--restarts", "--rcl", "--moves-per-temp")
+FLOAT_FLAGS = tuple(sorted(PARAM_FLAGS - set(COUNT_FLAGS)))
+# positive values stay >= 0.05, so a run anneals at most about 3 * 1e4 / 0.05
+# attempts (moves_per_temp 3, final_temp 1e-4 by default, lm_beta 0.05)
+FLOAT_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.05", "0.5", "2")
+NOT_NUMBERS = ("", "x", "1.5.2")
+
+
+@st.composite
+def solve_argv(draw):
+    algo = draw(st.sampled_from(ALGORITHMS))
+    own = sorted(flag for flag, _, _ in SURFACE[algo].values())
+    flags = draw(st.lists(st.sampled_from(own), unique=True)) if own else []
+    if draw(st.integers(0, 3)) == 0:  # now and then a flag of another algorithm
+        flags.append(draw(st.sampled_from(sorted(PARAM_FLAGS - set(own)))))
+    values = {}
+    for flag in flags:
+        numbers = (st.integers(-2, 3).map(str) if flag in COUNT_FLAGS
+                   else st.sampled_from(FLOAT_VALUES))
+        values[flag] = draw(st.sampled_from(NOT_NUMBERS) if draw(st.integers(0, 5)) == 0
+                            else numbers)
+    return algo, values
+
+
+# the toy file is only read, so one file can serve every example
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(solve_argv())
+def test_solve_exit_codes_under_fuzzing(toy_file, case):
+    algo, values = case
+    argv = ["solve", str(toy_file), "--algo", algo, *(f"{f}={v}" for f, v in values.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert "Traceback" not in err.getvalue()
+    own = {flag for flag, _, _ in SURFACE[algo].values()}
+    bad = any(flag not in own or value in NOT_NUMBERS or value.lstrip("-") in ("nan", "inf")
+              for flag, value in values.items())
+    # the toy instance is valid and small, so no data error or guard refusal
+    assert rc == 1 if bad else rc in (0, 1), (argv, rc, err.getvalue())
