@@ -48,8 +48,8 @@ class AcoParams:
             raise ValueError("gamma must be positive")
         if self.ants < 1:
             raise ValueError("need at least one ant")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
+        if self.iterations < 1:
+            raise ValueError("need at least one iteration")
 
 
 @dataclass

@@ -132,7 +132,7 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
         return evaluate(instance, ())
     profits = [c.profit for c in instance.customers]
     costs = [r.cost for r in instance.requirements]
-    closures = [[r - 1 for r in sorted(c.closure)] for c in instance.customers]
+    closures = [idx.tolist() for idx in instance.closure_indices]
 
     start = random_feasible(instance, budget, gen)
     selected = [False] * m

@@ -232,13 +232,16 @@ def parse_bench_config(path) -> BenchConfig:
         raise ConfigError("seeds must be integers") from None
     # by default all but exact, which refuses large instances
     algorithms = b.get("algorithms", " ".join(a for a in ALGORITHMS if a != "exact")).split()
-    for a in algorithms + [s for s in cfg.sections() if s != "bench"]:
+    sections = [s for s in cfg.sections() if s != "bench"]
+    for a in algorithms + sections:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}; valid: {', '.join(ALGORITHMS)}")
     if not ratios or not seeds or not algorithms:
         raise ConfigError("config needs at least one ratio, seed, and algorithm")
 
-    params = {a: _section_params(a, cfg[a] if a in cfg else {}) for a in algorithms}
+    # unlisted sections are parsed too, so a bad value shows before its algorithm is listed
+    params = {a: _section_params(a, cfg[a] if a in cfg else {}) for a in algorithms + sections}
+    params = {a: params[a] for a in algorithms}
 
     out = b.get("out", "").strip() or None
     if out and not Path(out).is_absolute():

@@ -13,15 +13,15 @@ All ids are 1-based.  Instances are immutable after construction; the
 derived per-customer closures and the numpy views used by the solvers
 are computed once when the instance is built.
 
+The closure is held once, as sorted index lists in both directions: a
+CSR form (each customer's requirements; ``closure_indices`` are its row
+views) and its transpose (each requirement's customers).
 :class:`CoverTracker` is the one mutable cover state the solvers share:
 a selection's mask, per-requirement counts, union cost and every
-customer's marginal add cost, kept up to date move by move.  The closure
-is held as per-customer index arrays (``closure_indices``), as a CSR form
-of the same entries, which ``swap_costs`` reads, and as dense customer x
-requirement matrices: a boolean one for :func:`evaluate` and a float64
-one for the tracker's start, ``add`` and ``drop``.  Solvers read none of
-them directly, so a change of closure representation stays inside this
-module.
+customer's marginal add cost, kept up to date move by move.  It and
+:func:`evaluate` read only these lists: no solver path builds a dense
+customer x requirement array or calls BLAS.  Outside this module only
+the annealer's chain reads them, through ``closure_indices``.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ class ValidationIssue:
 class Instance:
     """A full problem instance with precomputed closures.
 
+    The closure is held once, as sorted index lists per customer (CSR) and
+    per requirement (its transpose); no dense closure matrix is ever built.
+
     Build through :func:`make_instance`.  When the raw data is
     malformed (cycle, id out of range, non-positive cost or profit) the
     instance still exists so that :func:`validate` can report the
@@ -120,35 +123,33 @@ class Instance:
             self._cost_vec = None
             return
 
-        cost_vec = np.asarray(costs, dtype=np.int64)
         parents = _parent_lists(n, edge_list)
         members = []
+        # CSR form of the closure: customer i's requirements, sorted, are
+        # _csr_req[_csr_ptr[i]:_csr_ptr[i + 1]]
+        ptr = [0]
+        entries: list[int] = []
         for i, (w, reqs) in enumerate(raw_customers):
             closure = _prerequisite_closure(parents, reqs)
-            ccost = int(cost_vec[[r - 1 for r in closure]].sum()) if closure else 0
+            req_idx = sorted(r - 1 for r in closure)
+            entries.extend(req_idx)
+            ptr.append(len(entries))
+            ccost = sum(costs[r] for r in req_idx)
             members.append(Customer(i + 1, w, reqs, frozenset(closure), ccost))
         self.customers = tuple(members)
 
-        m = len(members)
-        closure_bool = np.zeros((m, n), dtype=bool)
-        for i, cust in enumerate(members):
-            for r in cust.closure:
-                closure_bool[i, r - 1] = True
-
-        self._cost_vec = cost_vec
-        self._cost_f64 = cost_vec.astype(np.float64)
+        self._cost_vec = np.asarray(costs, dtype=np.int64)
+        self._cost_f64 = self._cost_vec.astype(np.float64)
         self._profit_vec = np.asarray([c.profit for c in members], dtype=np.int64)
-        self._closure_bool = closure_bool
-        # 0/1 entries against integer costs: every dot product stays exactly
-        # representable, so matmuls are bit-deterministic under any BLAS threading
-        self._closure_f64 = closure_bool.astype(np.float64)
-        self._closure_idx = tuple(np.flatnonzero(row) for row in closure_bool)
-        # CSR form of the closure: customer i's requirements are
-        # _csr_req[_csr_ptr[i]:_csr_ptr[i + 1]]
-        self._csr_ptr = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum([idx.size for idx in self._closure_idx], out=self._csr_ptr[1:])
-        self._csr_req = (np.concatenate(self._closure_idx) if m
-                         else np.zeros(0, dtype=np.intp))
+        self._csr_ptr = np.asarray(ptr, dtype=np.intp)
+        self._csr_req = np.asarray(entries, dtype=np.intp)
+        self._closure_idx = tuple(self._csr_req[a:b] for a, b in zip(ptr, ptr[1:]))
+        # the transpose: requirement r's customers, sorted, as views of one array
+        # (a stable sort keeps each requirement's entries in customer order)
+        cust = np.repeat(np.arange(len(members)), np.diff(ptr))
+        by_req = cust[np.argsort(self._csr_req, kind="stable")]
+        req_ptr = np.concatenate(([0], np.cumsum(np.bincount(self._csr_req, minlength=n))))
+        self._needed_by = tuple(by_req[a:b] for a, b in zip(req_ptr[:-1], req_ptr[1:]))
         self._closure_cost_vec = np.asarray([c.closure_cost for c in members], dtype=np.int64)
 
     # -- structure ---------------------------------------------------------
@@ -328,9 +329,8 @@ def evaluate(instance: Instance, selected: Iterable[int]) -> Solution:
     """Evaluate a customer selection: union coverage, union cost, summed profit."""
     instance.require_valid()
     idx = sorted({_customer_index(instance, c) for c in selected})
-    if not idx:
-        return Solution(frozenset(), frozenset(), 0, 0)
-    covered_mask = instance._closure_bool[idx].any(axis=0)
+    covered_mask = np.zeros(instance.n_requirements, dtype=bool)
+    covered_mask[_closure_entries(instance, idx)[1]] = True
     cost = int(instance.cost_vector[covered_mask].sum())
     profit = int(instance.profit_vector[idx].sum())
     covered = frozenset(int(r) + 1 for r in np.flatnonzero(covered_mask))
@@ -373,9 +373,11 @@ class CoverTracker:
     State: the ``selected`` mask, ``counts`` (how many selected customers
     need each requirement), the union ``cost``, and ``marginal``, every
     customer's add cost against the current cover (zero when selected).
-    ``add`` and ``drop`` update all of it in time proportional to the
-    requirements whose coverage changes; ``swap_costs`` prices 1-swaps.
-    Values are integers held in float64, so every comparison is exact.
+    ``add`` and ``drop`` walk the requirements whose coverage changes and,
+    for each, the customers that need it, so their time is proportional to
+    those lists; ``swap_costs`` prices 1-swaps.  Everything is read from
+    the closure's index lists; marginals are integers held in float64, so
+    every comparison is exact.
     """
 
     def __init__(self, instance: Instance, start: Iterable[int] = ()):
@@ -383,45 +385,39 @@ class CoverTracker:
         instance.require_valid()
         self._inst = instance
         self._idx = instance.closure_indices
+        self._needed_by = instance._needed_by
+        self._reqs = instance.requirements
         self._cost_f = instance._cost_f64
-        self._closure_f = instance._closure_f64
         self.selected = np.zeros(instance.n_customers, dtype=bool)
         self.selected[[c - 1 for c in start]] = True
-        if self.selected.any():
-            self.counts = self._closure_f[self.selected].sum(axis=0)
-            uncovered = self._cost_f * (self.counts == 0)
-            self.cost = instance.total_cost - int(uncovered.sum())
-            self.marginal = self._closure_f @ uncovered
-        else:
-            self.counts = np.zeros(instance.n_requirements)
-            self.cost = 0
-            self.marginal = instance.closure_cost_vector.astype(np.float64)
+        ptr, req = instance._csr_ptr, instance._csr_req
+        # the customer of every closure entry
+        row = np.repeat(np.arange(instance.n_customers), ptr[1:] - ptr[:-1])
+        self.counts = np.bincount(req[self.selected[row]], minlength=instance.n_requirements)
+        self.cost = int(instance.cost_vector[self.counts > 0].sum())
+        # a customer's marginal is the cost of its uncovered requirements
+        uncovered = self._cost_f * (self.counts == 0)
+        self.marginal = np.bincount(row, weights=uncovered[req], minlength=instance.n_customers)
 
     def add(self, index: int) -> None:
         """Add customer by 0-based index."""
-        idx = self._idx[index]
-        counts = self.counts[idx]
-        new = idx[counts == 0]
-        self.counts[idx] = counts + 1
-        self.selected[index] = True
-        if new.size:
-            # customer ``index`` needs every newly covered requirement, so its
-            # entry of the marginal change is their whole cost
-            delta = self._closure_f[:, new] @ self._cost_f[new]
-            self.cost += int(delta[index])
-            self.marginal -= delta
+        self._flip(index, 1)
 
     def drop(self, index: int) -> None:
         """Remove a selected customer by 0-based index."""
+        self._flip(index, -1)
+
+    def _flip(self, index: int, step: int) -> None:
         idx = self._idx[index]
-        counts = self.counts[idx] - 1
-        self.counts[idx] = counts
-        self.selected[index] = False
-        freed = idx[counts == 0]
-        if freed.size:
-            delta = self._closure_f[:, freed] @ self._cost_f[freed]
-            self.cost -= int(delta[index])
-            self.marginal += delta
+        counts = self.counts[idx]
+        self.counts[idx] = counts + step
+        self.selected[index] = step > 0
+        # the requirements whose coverage changes: uncovered before an add,
+        # singly covered before a drop; customer ``index`` needs each of them
+        for r in idx[counts == (0 if step > 0 else 1)].tolist():
+            c = step * self._reqs[r].cost
+            self.cost += c
+            self.marginal[self._needed_by[r]] -= c
 
     def marginal_of(self, index: int) -> int:
         return int(self.marginal[index])

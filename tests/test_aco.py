@@ -160,8 +160,9 @@ def test_construct_feasible_on_random_instances():
 
 
 def test_run_zero_iterations(toy):
-    result = run(toy, 7, AcoParams(iterations=0), seed=1)
-    assert result.best.profit == 0 and result.trace == []
+    # a colony without iterations builds no ant, so it is refused
+    with pytest.raises(ValueError, match="iteration"):
+        run(toy, 7, AcoParams(iterations=0), seed=1)
 
 
 def test_run_deterministic(toy):
@@ -225,5 +226,7 @@ def test_params_validation():
         AcoParams(gamma=0)
     with pytest.raises(ValueError):
         AcoParams(ants=0)
+    with pytest.raises(ValueError):
+        AcoParams(iterations=0)
     with pytest.raises(ValueError):
         AcoParams(iterations=-1)

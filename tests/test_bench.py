@@ -120,6 +120,9 @@ def test_parse_config_errors(tmp_path):
         "fracants.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = aco\n[aco]\nants = 2.5\n",
         "nanbeta.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = sa\n[sa]\nlm_beta = nan\n",
         "infgamma.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = aco\n[aco]\ngamma = inf\n",
+        "noiters.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = haco\n[haco]\niterations = 0\n",
+        # a bad value in the section of an algorithm the matrix does not run
+        "unlistedsa.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = fhc\n[sa]\nlm_beta = nan\n",
         # a section that names neither bench nor an algorithm
         "typosection.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = haco\n[hac]\nants = 3\n",
     }

@@ -190,6 +190,8 @@ def test_solve_usage_errors(toy_file):
     assert rc == 1 and err.startswith("usage error:") and "rcl" in err
     rc, _, err = run_cli("solve", toy_file, "--algo", "sa", "--lm-beta", "nan")
     assert rc == 1 and "finite" in err
+    rc, _, err = run_cli("solve", toy_file, "--algo", "haco", "--iters", "0")
+    assert rc == 1 and err.startswith("usage error:") and "iteration" in err
 
 
 def test_solve_data_errors(tmp_path):
@@ -257,7 +259,8 @@ def test_bench_config_errors(tmp_path):
     cfg.write_text("[bench]\ngenerate = NRP-1@1\nalgorithms = fhc\n[fhc]\nrho = 1\n")
     rc, _, err = run_cli("bench", cfg)
     assert rc == 1 and "no parameter" in err
-    for body, phrase in (("rho = 2", "rho"), ("ants = many", "ants")):
+    for body, phrase in (("rho = 2", "rho"), ("ants = many", "ants"),
+                         ("iterations = 0", "iteration")):
         cfg.write_text(f"[bench]\ngenerate = NRP-1@1\nalgorithms = haco\n[haco]\n{body}\n")
         rc, _, err = run_cli("bench", cfg)
         assert rc == 1 and err.startswith("config error:") and phrase in err

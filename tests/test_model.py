@@ -1,10 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import bruteforce as bf
-from nrpbench import (CoverTracker, InvalidInstanceError, budget, closure,
-                      evaluate, make_instance, marginal_cost, rng, validate)
+from nrpbench import (CoverTracker, InvalidInstanceError, budget, builtin_spec, closure,
+                      evaluate, generate, make_instance, marginal_cost, rng, validate)
 
 
 def test_validate_ok(toy):
@@ -180,3 +181,16 @@ def test_level_sizes_must_sum():
 def test_instance_repr(toy):
     text = repr(toy)
     assert "4 requirements" in text and "3 customers" in text
+
+
+def test_instance_keeps_no_dense_closure():
+    # NRP-4@1's closure as a dense float64 customer x requirement matrix
+    # would take about 19.5 MB; its index lists take well under 10 MB
+    tracemalloc.start()
+    try:
+        inst = generate(builtin_spec("NRP-4"), 1)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.n_customers * inst.n_requirements * 8 > 19e6
+    assert retained < 10e6

@@ -36,6 +36,12 @@ def instance_and_budget(draw):
 @FAST
 @given(instances(), st.lists(st.integers(0, 6), max_size=12))
 def test_cover_tracker_agrees_with_evaluate(inst, toggles):
+    # the tracker and evaluate read the same closure lists, so both are also
+    # checked against the oracle, which reads only the raw requests and edges
+    for cust, idx in zip(inst.customers, inst.closure_indices):
+        assert idx.tolist() == sorted(r - 1 for r in bf.brute_closure(inst, cust.requests))
+    sol = evaluate(inst, ())
+    assert (sol.covered, sol.cost, sol.profit) == (frozenset(), 0, 0)
     cover = CoverTracker(inst)
     for t in toggles:
         if inst.n_customers == 0:
@@ -44,6 +50,7 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
         (cover.drop if cover.selected[i] else cover.add)(i)
         chosen = {int(c) + 1 for c in cover.selected.nonzero()[0]}
         sol = evaluate(inst, chosen)
+        assert (set(sol.covered), sol.cost, sol.profit) == bf.brute_eval(inst, chosen)
         assert cover.cost == sol.cost
         for c in range(1, inst.n_customers + 1):
             want = 0 if c in chosen else marginal_cost(inst, sol, c)
