@@ -4,11 +4,13 @@ GRASP alternates a greedy-randomized construction (rank affordable
 customers by profit per marginal cost, pick uniformly from the top of
 the list) with the same first-found hill climb the restart solver uses.
 
-The annealer flips one customer's membership per step, rejects
-infeasible proposals outright, and cools with the Lundy-Mees update
-temp <- temp / (1 + lm_beta * temp) applied after each attempt.  The
-schedule's initial temperature, final temperature, and step granularity
-are documented defaults, not literature values; all are configurable.
+The annealer flips one customer's membership per step through a
+:class:`~nrpbench.model.CoverTracker` started from a random feasible
+selection, rejects infeasible proposals outright, and cools with the
+Lundy-Mees update temp <- temp / (1 + lm_beta * temp) applied after
+each attempt.  The schedule's initial temperature, final temperature,
+and step granularity are documented defaults, not literature values;
+all are configurable.
 
 The exact solver enumerates customer subsets depth-first in id order
 with a remaining-profit bound and is guarded to small customer counts.
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .local_search import improve, random_feasible
-from .model import Instance, Solution, _construct, evaluate
+from .model import CoverTracker, Instance, Solution, _construct, evaluate
 
 
 class TooLargeError(Exception):
@@ -128,27 +130,18 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
     instance.require_valid()
     gen = rng.substream(seed, rng.SA_CHAIN)
     m = instance.n_customers
-    if m == 0:
-        return evaluate(instance, ())
-    profits = [c.profit for c in instance.customers]
-    costs = [r.cost for r in instance.requirements]
-    closures = [idx.tolist() for idx in instance.closure_indices]
-
     start = random_feasible(instance, budget, gen)
-    selected = [False] * m
-    counts = [0] * instance.n_requirements
-    for c in start.selected:
-        selected[c - 1] = True
-        for r in closures[c - 1]:
-            counts[r] += 1
-    cost = start.cost
+    if m == 0:
+        return start
+    profits = instance.profit_vector.tolist()
+    cover = CoverTracker(instance, start.selected)
     profit = start.profit
 
     temp = params.initial_temp
     if temp is None:
-        temp = _calibrate_temp(instance, selected, params, seed)
+        temp = _calibrate_temp(instance, cover.selected, params, seed)
 
-    best_sel = selected.copy()
+    best_sel = cover.selected.copy()
     best_profit = profit
     chunk = 8192
     pos = chunk
@@ -163,34 +156,20 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
             j = buf_j[pos]
             u = buf_u[pos]
             pos += 1
-            idx = closures[j]
-            if selected[j]:
+            if cover.selected[j]:
                 if u < math.exp(-profits[j] / temp):
-                    selected[j] = False
-                    for r in idx:
-                        counts[r] -= 1
-                        if counts[r] == 0:
-                            cost -= costs[r]
+                    cover.drop(j)
                     profit -= profits[j]
-            else:
-                extra = 0
-                for r in idx:
-                    if counts[r] == 0:
-                        extra += costs[r]
-                if cost + extra > budget:
-                    continue
+            elif cover.cost + cover.marginal[j] <= budget:
                 # adds always raise profit (it is positive): accept outright
-                selected[j] = True
-                for r in idx:
-                    counts[r] += 1
-                cost += extra
+                cover.add(j)
                 profit += profits[j]
                 if profit > best_profit:
                     best_profit = profit
-                    best_sel = selected.copy()
+                    best_sel = cover.selected.copy()
         temp = lundy_mees(temp, params.lm_beta)
 
-    return evaluate(instance, (i + 1 for i, s in enumerate(best_sel) if s))
+    return CoverTracker(instance, best_sel.nonzero()[0] + 1).solution()
 
 
 def expected_sa_attempts(params: SaParams, initial_temp: float | None = None) -> int:

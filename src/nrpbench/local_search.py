@@ -1,25 +1,27 @@
 """Hill climbing over customer selections: feasible adds and 1-swaps.
 
-Two climbs of different strength share the same move set, the same
-best-swap rule (maximum gain, ties to the smaller outgoing id) and one
-cover state, a :class:`~nrpbench.model.CoverTracker` started from the
-given selection; they differ only in the order they visit moves.
+Two climbs of different strength are two draw rules over one loop.  Each
+round the loop draws an order of the unselected customers and takes the
+first move in it: an add of the first customer that fits within budget,
+else, for the first customer that can be swapped in at a profit gain, the
+best such swap (maximum gain, ties to the smaller outgoing id).  The climb
+ends at the first order with no move.  The cover state is one
+:class:`~nrpbench.model.CoverTracker` started from the given selection,
+whose computed cost must fit the budget.
 
-`improve` is the cheap first-found variant: each round samples one
-unselected customer uniformly; if that customer fits within budget it
-is added, otherwise the most profitable feasible 1-swap bringing it in
-replaces a selected customer, and the climb stops the first time the
-sampled customer can do neither.  The result is feasible and at least
-as profitable as the start, but it may still admit moves through other
-customers.
+`improve` is the cheap first-found variant: its order is one unselected
+customer drawn uniformly, so it stops the first time the sampled
+customer can neither be added nor swapped in.  The result is feasible
+and at least as profitable as the start, but it may still admit moves
+through other customers.
 
-`sweep_improve` keeps sweeping all unselected customers until none can
-be added or swapped in, so its output is a certified 1-swap local
-optimum: no feasible addition and no profit-improving feasible swap
-exists at all.  The ant-colony hybrid uses this stronger operator on
-each constructed solution.  A pass prices swaps in doubling blocks of
-its random order and stops at the first block with a movable customer;
-the move is the one a full pricing of the order would give.
+`sweep_improve` draws a random permutation of all unselected customers
+each pass, so its output is a certified 1-swap local optimum: no
+feasible addition and no profit-improving feasible swap exists at all.
+The ant-colony hybrid uses this stronger operator on each constructed
+solution.  A pass prices swaps in doubling blocks of its order and stops
+at the first block with a movable customer; the move is the one a full
+pricing of the order would give.
 
 The standalone restart solver climbs with `improve` from independent
 random feasible selections and keeps the best result.
@@ -57,54 +59,16 @@ def random_feasible(instance: Instance, budget: int, gen: np.random.Generator) -
     return cover.solution()
 
 
-def _start_cover(instance: Instance, budget: int, start: Solution) -> CoverTracker:
-    instance.require_valid()
-    if start.cost > budget:
-        raise InfeasibleStartError(f"start cost {start.cost} exceeds budget {budget}")
-    return CoverTracker(instance, start.selected)
-
-
-def _improving_swaps(cover: CoverTracker, budget: int, profits: np.ndarray,
-                     incoming, outgoing) -> np.ndarray:
-    """(incoming x outgoing) mask of the feasible swaps that raise profit."""
-    return ((cover.swap_costs(incoming, outgoing) <= budget)
-            & (profits[outgoing] < profits[incoming][:, None]))
-
-
-def _best_swap(ok: np.ndarray, outgoing: np.ndarray, profits: np.ndarray) -> int:
-    """Outgoing customer of the best swap in one row of the mask.
-
-    Maximum gain means minimum outgoing profit; ties go to the smaller id.
-    """
-    out = outgoing[ok]
-    return int(out[np.argmin(profits[out])])
-
-
 def improve(instance: Instance, budget: int, start: Solution, gen: np.random.Generator) -> Solution:
     """First-found climb: stops when one sampled customer cannot move.
 
-    Each round draws j uniformly from the unselected customers.  A
-    feasible add of j is taken outright; otherwise the best feasible
-    profit-improving swap for j (maximum gain, ties to the smaller
-    outgoing id) is taken; if neither exists the climb ends.
+    Each round draws j uniformly from the unselected customers, with one
+    ``gen.integers`` call.  A feasible add of j is taken outright;
+    otherwise the best feasible profit-improving swap for j (maximum
+    gain, ties to the smaller outgoing id) is taken; if neither exists
+    the climb ends.
     """
-    cover = _start_cover(instance, budget, start)
-    profits = instance.profit_vector
-    while True:
-        out_idx = (~cover.selected).nonzero()[0]
-        if out_idx.size == 0:
-            break
-        j = int(out_idx[gen.integers(0, out_idx.size)])
-        if cover.cost + cover.marginal[j] <= budget:
-            cover.add(j)
-            continue
-        sel_idx = cover.selected.nonzero()[0]
-        ok = _improving_swaps(cover, budget, profits, [j], sel_idx)[0]
-        if not ok.any():
-            break
-        cover.add(j)
-        cover.drop(_best_swap(ok, sel_idx, profits))
-    return cover.solution()
+    return _climb(instance, budget, start, lambda out: out[[gen.integers(0, out.size)]])
 
 
 def sweep_improve(instance: Instance, budget: int, start: Solution,
@@ -123,14 +87,20 @@ def sweep_improve(instance: Instance, budget: int, start: Solution,
     the last pass (which finds no move) included; :func:`_first_move`
     prices only as much of that order as it needs.
     """
-    cover = _start_cover(instance, budget, start)
+    return _climb(instance, budget, start, lambda out: out[gen.permutation(out.size)])
+
+
+def _climb(instance: Instance, budget: int, start: Solution, draw) -> Solution:
+    """Take the first move in ``draw(unselected ids)`` until an order has none."""
+    cover = CoverTracker(instance, start.selected)
+    if cover.cost > budget:
+        raise InfeasibleStartError(f"start cost {cover.cost} exceeds budget {budget}")
     profits = instance.profit_vector
     while True:
         out_idx = (~cover.selected).nonzero()[0]
         if out_idx.size == 0:
             break
-        order = out_idx[gen.permutation(out_idx.size)]
-        move = _first_move(cover, budget, profits, order)
+        move = _first_move(cover, budget, profits, draw(out_idx))
         if move is None:
             break
         j, l = move
@@ -151,20 +121,25 @@ def _first_move(cover: CoverTracker, budget: int, profits: np.ndarray,
     Adds are checked for the whole order at once; swaps are priced only
     for the customers before the first feasible add, in disjoint blocks
     that double in size, stopping at the first block with a movable one.
-    The last pass of a climb, which finds no move, prices each row once.
+    A swap must fit the budget and raise profit; the best one drops the
+    least profitable partner, ties to the smaller id.  The last pass of a
+    climb, which finds no move, prices each row once.
     """
     add_ok = (cover.cost + cover.marginal[order] <= budget).nonzero()[0]
     end = int(add_ok[0]) if add_ok.size else order.size
-    sel_idx = cover.selected.nonzero()[0]
-    lo, size = 0, _FIRST_BLOCK
-    while lo < end:
-        block = order[lo:min(lo + size, end)]
-        ok = _improving_swaps(cover, budget, profits, block, sel_idx)
-        movable = ok.any(axis=1).nonzero()[0]
-        if movable.size:
-            row = int(movable[0])
-            return int(block[row]), _best_swap(ok[row], sel_idx, profits)
-        lo, size = lo + size, 2 * size
+    if end:
+        sel_idx = cover.selected.nonzero()[0]
+        lo, size = 0, _FIRST_BLOCK
+        while lo < end:
+            block = order[lo:min(lo + size, end)]
+            ok = ((cover.swap_costs(block, sel_idx) <= budget)
+                  & (profits[sel_idx] < profits[block][:, None]))
+            movable = ok.any(axis=1).nonzero()[0]
+            if movable.size:
+                row = int(movable[0])
+                out = sel_idx[ok[row]]
+                return int(block[row]), int(out[np.argmin(profits[out])])
+            lo, size = lo + size, 2 * size
     return (int(order[end]), None) if end < order.size else None
 
 

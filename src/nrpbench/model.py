@@ -18,10 +18,12 @@ CSR form (each customer's requirements; ``closure_indices`` are its row
 views) and its transpose (each requirement's customers).
 :class:`CoverTracker` is the one mutable cover state the solvers share:
 a selection's mask, per-requirement counts, union cost and every
-customer's marginal add cost, kept up to date move by move.  It and
-:func:`evaluate` read only these lists: no solver path builds a dense
-customer x requirement array or calls BLAS.  Outside this module only
-the annealer's chain reads them, through ``closure_indices``.
+customer's marginal add cost, kept up to date move by move.  The
+constructions, both climbs and the annealer's chain all flip customers
+through it, and :meth:`CoverTracker.solution` reads its result from that
+state.  :func:`evaluate` works a selection out from scratch and is the
+independent check of the tracker.  Both read only these lists: no solver
+path builds a dense customer x requirement array or calls BLAS.
 """
 
 from __future__ import annotations
@@ -381,15 +383,22 @@ class CoverTracker:
     """
 
     def __init__(self, instance: Instance, start: Iterable[int] = ()):
-        """Cover of ``start`` (1-based customer ids), empty by default."""
+        """Cover of ``start`` (1-based customer ids), empty by default.
+
+        An id outside 1..n raises ``ValueError``.
+        """
         instance.require_valid()
         self._inst = instance
         self._idx = instance.closure_indices
         self._needed_by = instance._needed_by
         self._reqs = instance.requirements
         self._cost_f = instance._cost_f64
+        ids = np.fromiter(start, dtype=np.intp)
+        bad = (ids < 1) | (ids > instance.n_customers)
+        if bad.any():
+            _customer_index(instance, int(ids[bad.argmax()]))  # raises
         self.selected = np.zeros(instance.n_customers, dtype=bool)
-        self.selected[[c - 1 for c in start]] = True
+        self.selected[ids - 1] = True
         ptr, req = instance._csr_ptr, instance._csr_req
         # the customer of every closure entry
         row = np.repeat(np.arange(instance.n_customers), ptr[1:] - ptr[:-1])
@@ -457,8 +466,11 @@ class CoverTracker:
         return kept[:, :n_out] - freed + (self.cost + self.marginal[incoming])[:, None]
 
     def solution(self) -> Solution:
-        """The current selection, evaluated."""
-        return evaluate(self._inst, (self.selected.nonzero()[0] + 1).tolist())
+        """The current selection as a :class:`Solution`, read from the tracker's state."""
+        idx = self.selected.nonzero()[0]
+        return Solution(frozenset((idx + 1).tolist()),
+                        frozenset((self.counts.nonzero()[0] + 1).tolist()),
+                        self.cost, int(self._inst.profit_vector[idx].sum()))
 
 
 def _closure_entries(instance: Instance, customers) -> tuple[np.ndarray, np.ndarray]:

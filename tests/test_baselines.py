@@ -3,11 +3,14 @@ import math
 import pytest
 
 import bruteforce as bf
-from nrpbench import (GraspParams, SaParams, TooLargeError, budget, exact,
-                      expected_sa_attempts, grasp, grasp_construct,
+from nrpbench import (GraspParams, SaParams, TooLargeError, budget, builtin_spec, exact,
+                      expected_sa_attempts, generate, grasp, grasp_construct,
                       lundy_mees, make_instance, random_feasible, rng, sa)
+from nrpbench.baselines import _calibrate_temp
 
 FAST_SA = SaParams(lm_beta=0.05)
+# stays warm enough to accept drops for all of its ~5000 attempts
+WARM_SA = SaParams(lm_beta=2e-4, final_temp=1.0)
 
 
 # -- GRASP -------------------------------------------------------------------
@@ -127,6 +130,78 @@ def test_sa_never_below_its_start():
         sol = sa(inst, b, FAST_SA, seed=seed)
         assert sol.profit >= start.profit
         assert bf.check_solution(inst, sol, b) == []
+
+
+def _reference_chain(inst, bud, params, seed):
+    """The annealer's chain on plain lists: per-requirement counts, cost and profit.
+
+    Same stream use as ``sa``: the random feasible start, then one
+    (customer, uniform) pair per attempt, drawn in blocks of 8192.
+    Returns the best selection visited and the number of accepted drops.
+    """
+    gen = rng.substream(seed, rng.SA_CHAIN)
+    start = random_feasible(inst, bud, gen)
+    m = inst.n_customers
+    profits = [c.profit for c in inst.customers]
+    costs = [r.cost for r in inst.requirements]
+    closures = [sorted(r - 1 for r in bf.brute_closure(inst, c.requests))
+                for c in inst.customers]
+    selected = [c + 1 in start.selected for c in range(m)]
+    counts = [0] * inst.n_requirements
+    for c in start.selected:
+        for r in closures[c - 1]:
+            counts[r] += 1
+    cost = sum(costs[r] for r in range(len(counts)) if counts[r])
+    profit = best_profit = start.profit
+    best = set(start.selected)
+    temp = params.initial_temp
+    if temp is None:
+        temp = _calibrate_temp(inst, selected, params, seed)
+    drops = 0
+    draws: list[tuple[int, float]] = []
+    while temp > params.final_temp:
+        for _ in range(params.moves_per_temp):
+            if not draws:
+                draws = list(zip(gen.integers(0, m, size=8192).tolist(),
+                                 gen.random(8192).tolist()))[::-1]
+            j, u = draws.pop()
+            if selected[j]:
+                if u < math.exp(-profits[j] / temp):
+                    selected[j] = False
+                    for r in closures[j]:
+                        counts[r] -= 1
+                        if counts[r] == 0:
+                            cost -= costs[r]
+                    profit -= profits[j]
+                    drops += 1
+                continue
+            extra = sum(costs[r] for r in closures[j] if counts[r] == 0)
+            if cost + extra <= bud:
+                selected[j] = True
+                for r in closures[j]:
+                    counts[r] += 1
+                cost += extra
+                profit += profits[j]
+                if profit > best_profit:
+                    best_profit = profit
+                    best = {c + 1 for c in range(m) if selected[c]}
+        temp = lundy_mees(temp, params.lm_beta)
+    return best, drops
+
+
+def test_sa_matches_reference_chain():
+    nrp1 = generate(builtin_spec("NRP-1"), 1)
+    cases = [(bf.random_small_instance(seed), params, seed)
+             for seed in range(1, 9) for params in (FAST_SA, WARM_SA)]
+    cases += [(nrp1, FAST_SA, 1), (nrp1, WARM_SA, 1)]
+    drops = 0
+    for inst, params, seed in cases:
+        bud = budget(inst, "0.5")
+        best, n = _reference_chain(inst, bud, params, seed)
+        assert sa(inst, bud, params, seed).selected == best
+        drops += n
+    # the chains walk: drops are accepted, not only adds
+    assert drops > 0
 
 
 def test_sa_fixed_initial_temperature(toy):

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -40,6 +41,30 @@ def test_solve_one_effort_reporting(toy):
     assert effort is None
     sol, effort = solve_one(toy, 10, "exact", 1)
     assert (sol.profit, effort) == (14, None)
+
+
+SMALL_EFFORT = {"haco": AcoParams(iterations=2, ants=3),
+                "aco": AcoParams(iterations=2, ants=3, use_local_search=False),
+                "fhc": FhcParams(restarts=5), "grasp": GraspParams(restarts=5),
+                "sa": SaParams(lm_beta=0.05)}
+
+
+@pytest.mark.parametrize("algo", list(SMALL_EFFORT))
+def test_solve_one_evaluates_at_most_once(algo, monkeypatch):
+    # the heuristics read their solutions from the cover tracker; evaluate,
+    # which works a selection out from scratch, is not called every round
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    for name in ("model", "aco", "baselines"):
+        monkeypatch.setattr(importlib.import_module(f"nrpbench.{name}"), "evaluate", counted)
+    inst = generate(builtin_spec("NRP-1"), 1)
+    sol, _ = solve_one(inst, budget(inst, "0.5"), algo, 1, SMALL_EFFORT[algo])
+    assert len(calls) <= 1
+    assert sol == evaluate(inst, sol.selected)
 
 
 def test_solve_one_forces_local_search_flag(toy):

@@ -1,7 +1,7 @@
 import pytest
 
 import bruteforce as bf
-from nrpbench import (CoverTracker, FhcParams, InfeasibleStartError, budget,
+from nrpbench import (CoverTracker, FhcParams, InfeasibleStartError, Solution, budget,
                       builtin_spec, evaluate, fhc, generate, improve, random_feasible,
                       rng, sweep_improve)
 
@@ -29,11 +29,12 @@ def test_random_feasible_is_feasible_on_randoms():
 
 
 def test_improve_rejects_infeasible_start(toy):
-    start = evaluate(toy, [1, 2, 3])
-    with pytest.raises(InfeasibleStartError):
-        improve(toy, 10, start, rng.substream(1, 52))
-    with pytest.raises(InfeasibleStartError):
-        sweep_improve(toy, 10, start, rng.substream(1, 52))
+    # the second start states a cost of 0: the climbs must check the
+    # selection's real cost, 14, not trust the stated one
+    for start in (evaluate(toy, [1, 2, 3]), Solution(frozenset({1, 2, 3}), frozenset(), 0, 24)):
+        for climb in (improve, sweep_improve):
+            with pytest.raises(InfeasibleStartError):
+                climb(toy, 10, start, rng.substream(1, 52))
 
 
 def test_improve_two_basins_from_singleton(toy):
@@ -92,13 +93,14 @@ def test_sweep_improve_certificate_on_randoms():
         assert bf.has_improving_move(inst, out, b) is None
 
 
-def _reference_sweep(inst, bud, start, gen):
-    """sweep_improve's move rule with every row priced by brute force.
+def _reference_sweep(inst, bud, start, gen, draw):
+    """The climbs' move rule with every row priced by brute force.
 
-    Each pass draws the same permutation of the unselected ids, scans it
-    for the first customer that can be added or swapped in at a profit
-    gain, and takes the add, else the swap out of the least profitable
-    feasible partner (ties: smaller id).  Returns the moves as events.
+    Each round draws an order of the unselected ids with ``draw(gen, k)``
+    (k of them), scans it for the first customer that can be added or
+    swapped in at a profit gain, and takes the add, else the swap out of
+    the least profitable feasible partner (ties: smaller id); an order
+    with no such customer ends the climb.  Returns the moves as events.
     """
     clos = {c.id: bf.brute_closure(inst, c.requests) for c in inst.customers}
     req_cost = {r.id: r.cost for r in inst.requirements}
@@ -113,7 +115,7 @@ def _reference_sweep(inst, bud, start, gen):
         outside = sorted(set(clos) - selected)
         if not outside:
             return events
-        for j in (outside[p] for p in gen.permutation(len(outside))):
+        for j in (outside[p] for p in draw(gen, len(outside))):
             if cost(selected | {j}) <= bud:
                 events.append(("add", j))
                 selected.add(j)
@@ -129,10 +131,17 @@ def _reference_sweep(inst, bud, start, gen):
             return events
 
 
+# each climb with its draw rule: one uniform customer, or a permutation
+CLIMBS = {"improve": (improve, lambda gen, k: [gen.integers(0, k)]),
+          "sweep_improve": (sweep_improve, lambda gen, k: gen.permutation(k))}
+
+
 @pytest.mark.parametrize("ratio", ["0.3", "0.5", "0.7"])
-def test_sweep_improve_matches_brute_force_reference(ratio, monkeypatch):
+@pytest.mark.parametrize("name", list(CLIMBS))
+def test_climbs_match_brute_force_reference(name, ratio, monkeypatch):
     # NRP-1 has 100 customers, about half of them unselected, so passes run
     # well past sweep_improve's first block of priced rows
+    climb, draw = CLIMBS[name]
     inst = generate(builtin_spec("NRP-1"), 1)
     bud = budget(inst, ratio)
     events = []
@@ -146,6 +155,7 @@ def test_sweep_improve_matches_brute_force_reference(ratio, monkeypatch):
         events.append(("drop", index + 1))
         drop(self, index)
 
+    swapped = []
     for seed in (1, 2, 3):
         gen, ref_gen = rng.substream(seed, 56), rng.substream(seed, 56)
         start = random_feasible(inst, bud, gen)
@@ -154,12 +164,14 @@ def test_sweep_improve_matches_brute_force_reference(ratio, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(CoverTracker, "add", record_add)
             m.setattr(CoverTracker, "drop", record_drop)
-            out = sweep_improve(inst, bud, start, gen)
-        assert events == _reference_sweep(inst, bud, start, ref_gen)
-        assert any(e[0] == "drop" for e in events)
-        # same number of permutation draws, the last (moveless) pass included
+            out = climb(inst, bud, start, gen)
+        assert events == _reference_sweep(inst, bud, start, ref_gen, draw)
+        swapped.append(any(e[0] == "drop" for e in events))
+        # same number of draws, the last (moveless) round included
         assert gen.random() == ref_gen.random()
         assert bf.check_solution(inst, out, bud) == []
+    # every sweep swaps; improve, which can stop early, swaps in some climbs
+    assert all(swapped) if name == "sweep_improve" else any(swapped)
 
 
 def test_fhc_escapes_local_optimum_with_restarts(toy):

@@ -169,6 +169,16 @@ def test_cover_tracker_matches_marginal():
             assert tracker.cost == sol.cost
 
 
+def test_cover_tracker_rejects_bad_ids(toy):
+    # the tracker checks ids as evaluate does: 0 and -1 must not wrap around
+    # to the last customers
+    for bad in ([0], [-1], [4], [2, 0]):
+        for build in (CoverTracker, evaluate):
+            with pytest.raises(ValueError, match=f"customer id {bad[-1]} out of range 1..3"):
+                build(toy, bad)
+    assert CoverTracker(toy, [3, 1]).selected.tolist() == [True, False, True]
+
+
 def test_evaluate_is_pure(toy):
     assert evaluate(toy, [1, 3]) == evaluate(toy, [1, 3])
 

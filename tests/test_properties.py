@@ -43,6 +43,7 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
     sol = evaluate(inst, ())
     assert (sol.covered, sol.cost, sol.profit) == (frozenset(), 0, 0)
     cover = CoverTracker(inst)
+    assert cover.solution() == sol
     for t in toggles:
         if inst.n_customers == 0:
             break
@@ -52,6 +53,7 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
         sol = evaluate(inst, chosen)
         assert (set(sol.covered), sol.cost, sol.profit) == bf.brute_eval(inst, chosen)
         assert cover.cost == sol.cost
+        assert cover.solution() == sol
         for c in range(1, inst.n_customers + 1):
             want = 0 if c in chosen else marginal_cost(inst, sol, c)
             assert cover.marginal_of(c - 1) == want
