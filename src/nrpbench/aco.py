@@ -114,11 +114,21 @@ def selection_probabilities(
 def roulette_select(probabilities: np.ndarray, r: float) -> int:
     """First customer (in id order) whose cumulative probability reaches r.
 
-    Works on any probability vector: the result is the 1-based position
-    of the chosen entry.  Rounding can leave r above the final cumulative
-    value; the last entry with positive probability is returned then.
+    Works on any non-negative probability vector: the result is the
+    1-based position of the chosen entry, and zero entries are never
+    chosen.  Rounding can leave r above the final cumulative value; the
+    last entry with positive probability is returned then.
+
+    One running sum over the whole vector finds the answer: adding an
+    exact zero leaves a sequential ``cumsum`` unchanged, so when the first
+    entry whose sum reaches r is positive, the sum over the positive
+    entries alone picks it too.  When it is zero (r = 0 on leading zeros,
+    or r above the rounded total), that sum decides.
     """
     p = np.asarray(probabilities, dtype=np.float64)
+    k = int(p.cumsum().searchsorted(r, side="left"))
+    if k < p.size and p[k] > 0:
+        return k + 1
     positive = (p > 0).nonzero()[0]
     if positive.size == 0:
         raise ValueError("no positive-probability candidate")

@@ -3,6 +3,9 @@
 GRASP alternates a greedy-randomized construction (rank affordable
 customers by profit per marginal cost, pick uniformly from the top of
 the list) with the same first-found hill climb the restart solver uses.
+Each step ranks only the head of the list: a partition finds the
+list's last score, and only the candidates scoring at least that much
+are sorted, which gives the same list as sorting all of them.
 
 The annealer flips one customer's membership per step through a
 :class:`~nrpbench.model.CoverTracker` started from a random feasible
@@ -10,7 +13,10 @@ selection, rejects infeasible proposals outright, and cools with the
 Lundy-Mees update temp <- temp / (1 + lm_beta * temp) applied after
 each attempt.  The schedule's initial temperature, final temperature,
 and step granularity are documented defaults, not literature values;
-all are configurable.
+all are configurable.  The chain stops at the final temperature, or
+earlier once it is frozen: no unselected customer fits and the
+temperature is too low for any drop to pass, so every later attempt
+would be refused and the result is the same.
 
 The exact solver enumerates customer subsets depth-first in id order
 with a remaining-profit bound and is guarded to small customer counts.
@@ -70,16 +76,30 @@ def grasp_construct(
 
     Candidates are scored by profit / max(1, marginal cost) and ranked
     score-descending with ties to the smaller id, so rcl_length = 1 is
-    the deterministic greedy.
+    the deterministic greedy.  Only the top `rcl_length` are sorted
+    (:func:`_top_k`); the list is the one a full sort gives.
     """
     profits = instance.profit_vector
 
     def choose(cover, cand):
         score = profits[cand] / np.maximum(1.0, cover.marginal[cand])
-        rcl = cand[np.lexsort((cand, -score))[:rcl_length]]
+        rcl = cand[_top_k(-score, rcl_length)]
         return int(rcl[int(gen.integers(0, rcl.size))])
 
     return _construct(instance, budget, choose)
+
+
+def _top_k(key: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest keys, ascending, ties to the smaller position.
+
+    Equal to ``np.lexsort((positions, key))[:k]`` without sorting the whole
+    vector: every key at or below the k-th smallest (``np.partition``) is
+    kept, ties included, and only those are stably sorted.
+    """
+    if key.size > k:
+        kept = (key <= np.partition(key, k - 1)[k - 1]).nonzero()[0]
+        return kept[np.argsort(key[kept], kind="stable")[:k]]
+    return np.argsort(key, kind="stable")
 
 
 def grasp(instance: Instance, budget: int, params: GraspParams, seed: int) -> Solution:
@@ -125,7 +145,9 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
 
     Flip targets and acceptance draws are consumed in fixed-size blocks,
     one pair per attempt whatever the outcome, so the walk is a pure
-    function of the seed.
+    function of the seed.  Where a new block would be drawn, the chain
+    stops if it is frozen (:func:`_frozen`): from there on every attempt
+    is refused, so the full schedule would return the same selection.
     """
     instance.require_valid()
     gen = rng.substream(seed, rng.SA_CHAIN)
@@ -147,7 +169,9 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
     pos = chunk
     buf_j: list[int] = []
     buf_u: list[float] = []
-    while temp > params.final_temp:
+    # stop once frozen, as every later attempt would be refused; looked at per block of draws
+    while temp > params.final_temp and not (
+            pos == chunk and _frozen(cover, budget, instance.profit_vector, temp)):
         for _ in range(params.moves_per_temp):
             if pos == chunk:
                 buf_j = gen.integers(0, m, size=chunk).tolist()
@@ -172,8 +196,24 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
     return CoverTracker(instance, best_sel.nonzero()[0] + 1).solution()
 
 
+def _frozen(cover: CoverTracker, budget: int, profits: np.ndarray, temp: float) -> bool:
+    """True when no flip can be accepted at ``temp`` or any colder temperature.
+
+    No unselected customer fits, and a drop of the smallest selected
+    profit p has p / temp >= 750, past exp's underflow to 0 at about 745,
+    so its acceptance test ``u < exp(-p / temp)`` with u >= 0 fails.
+    """
+    if cover.affordable(budget).size:
+        return False
+    return not cover.selected.any() or profits[cover.selected].min() >= 750.0 * temp
+
+
 def expected_sa_attempts(params: SaParams, initial_temp: float | None = None) -> int:
-    """Rough move-attempt count implied by the cooling parameters."""
+    """Rough move-attempt count implied by the cooling parameters.
+
+    This is the schedule's full length, so it bounds the attempts
+    :func:`sa` makes: a frozen chain stops before its schedule ends.
+    """
     t0 = initial_temp if initial_temp is not None else params.initial_temp
     if t0 is None:
         t0 = 1.0

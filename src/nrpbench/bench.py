@@ -253,6 +253,8 @@ def parse_bench_config(path) -> BenchConfig:
         jobs = int(b.get("jobs", "1"))
     except ValueError:
         raise ConfigError("jobs must be an integer") from None
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     return BenchConfig(sources=sources, ratios=ratios, seeds=seeds,
                        algorithms=algorithms, params=params, out=out,
                        dump_dir=dump_dir, jobs=jobs)
@@ -303,8 +305,10 @@ def run_bench(config: BenchConfig) -> list[RunRecord]:
         for algo in config.algorithms
         for seed in config.seeds
     ]
-    if config.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # a fork pool starts all its workers at the first submit: no more than there are cells
+    workers = min(config.jobs, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:
         outcomes = [_run_cell(c) for c in cells]

@@ -167,6 +167,8 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     config = parse_bench_config(args.config)
     if args.jobs is not None:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         config.jobs = args.jobs
     if args.out is not None:
         config.out = args.out

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
-from nrpbench import (AcoParams, EmptyCandidateSetError, PheromoneState,
-                      budget, construct_solution, deposit, evaporate,
-                      heuristic_info, init_pheromone, make_instance, rng,
+from nrpbench import (AcoParams, CoverTracker, EmptyCandidateSetError, PheromoneState,
+                      budget, builtin_spec, construct_solution, deposit, evaporate,
+                      generate, heuristic_info, init_pheromone, make_instance, rng,
                       roulette_select, selection_probabilities, solve_one)
 from nrpbench.aco import run
 
@@ -157,6 +157,55 @@ def test_construct_feasible_on_random_instances():
         eta = heuristic_info(inst)
         sol = construct_solution(inst, b, state, eta, AcoParams(), rng.substream(seed, 99))
         assert bf.check_solution(inst, sol, b) == []
+
+
+def _reference_ant(inst, bud, weights, gen):
+    """An ant's walk with the roulette summed over the positive probabilities only.
+
+    Returns the added ids in order.
+    """
+    cover = CoverTracker(inst)
+    moves = []
+    while (cand := cover.affordable(bud)).size:
+        w = weights[cand]
+        total = w.sum()
+        p = w / total if 0 < total < np.inf else np.full(cand.size, 1.0 / cand.size)
+        positive = (p > 0).nonzero()[0]
+        k = int(p[positive].cumsum().searchsorted(gen.random(), side="left"))
+        j = int(cand[positive[min(k, positive.size - 1)]])
+        cover.add(j)
+        moves.append(j + 1)
+    return moves
+
+
+@pytest.mark.parametrize("family", ["NRP-2", "NRP-4"])
+def test_construct_matches_positive_roulette_reference(family, monkeypatch):
+    inst = generate(builtin_spec(family), 1)
+    params = AcoParams()
+    eta = heuristic_info(inst)
+    # a fresh trail, and one evaporated to zero on every seventh customer
+    fresh, patchy = init_pheromone(inst), init_pheromone(inst)
+    patchy.tau[::7] = 0.0
+    adds = []
+    add = CoverTracker.add
+
+    def record_add(self, index):
+        adds.append(index + 1)
+        add(self, index)
+
+    for ratio in ("0.3", "0.5", "0.7"):
+        bud = budget(inst, ratio)
+        for state in (fresh, patchy):
+            gen, ref_gen = (rng.substream(7, rng.ANT, 1, 1) for _ in range(2))
+            weights = state.tau ** params.alpha * eta ** params.beta
+            want = _reference_ant(inst, bud, weights, ref_gen)
+            adds.clear()
+            with monkeypatch.context() as m:
+                m.setattr(CoverTracker, "add", record_add)
+                sol = construct_solution(inst, bud, state, eta, params, gen)
+            assert adds == want
+            assert sol.selected == set(want)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 def test_run_zero_iterations(toy):

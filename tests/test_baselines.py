@@ -1,12 +1,14 @@
+import importlib
 import math
 
+import numpy as np
 import pytest
 
 import bruteforce as bf
-from nrpbench import (GraspParams, SaParams, TooLargeError, budget, builtin_spec, exact,
-                      expected_sa_attempts, generate, grasp, grasp_construct,
-                      lundy_mees, make_instance, random_feasible, rng, sa)
-from nrpbench.baselines import _calibrate_temp
+from nrpbench import (CoverTracker, GraspParams, SaParams, TooLargeError, budget,
+                      builtin_spec, exact, expected_sa_attempts, generate, grasp,
+                      grasp_construct, lundy_mees, make_instance, random_feasible, rng, sa)
+from nrpbench.baselines import _calibrate_temp, _frozen
 
 FAST_SA = SaParams(lm_beta=0.05)
 # stays warm enough to accept drops for all of its ~5000 attempts
@@ -43,6 +45,44 @@ def test_grasp_construct_rcl_one_ignores_the_stream():
         a = grasp_construct(inst, b, 1, rng.substream(1, 61))
         c = grasp_construct(inst, b, 1, rng.substream(999, 61))
         assert a == c
+
+
+def _reference_grasp(inst, bud, rcl_length, gen):
+    """GRASP's construction with its list cut from a full sort; returns the added ids."""
+    profits = inst.profit_vector
+    cover = CoverTracker(inst)
+    moves = []
+    while (cand := cover.affordable(bud)).size:
+        score = profits[cand] / np.maximum(1.0, cover.marginal[cand])
+        rcl = cand[np.lexsort((cand, -score))[:rcl_length]]
+        j = int(rcl[int(gen.integers(0, rcl.size))])
+        cover.add(j)
+        moves.append(j + 1)
+    return moves
+
+
+@pytest.mark.parametrize("family", ["NRP-2", "NRP-4"])
+def test_grasp_construct_matches_full_sort_reference(family, monkeypatch):
+    inst = generate(builtin_spec(family), 1)
+    adds = []
+    add = CoverTracker.add
+
+    def record_add(self, index):
+        adds.append(index + 1)
+        add(self, index)
+
+    for ratio in ("0.3", "0.5", "0.7"):
+        bud = budget(inst, ratio)
+        for rcl in (1, 3, 10):
+            gen, ref_gen = (rng.substream(7, rng.GRASP_RESTART, 1) for _ in range(2))
+            want = _reference_grasp(inst, bud, rcl, ref_gen)
+            adds.clear()
+            with monkeypatch.context() as m:
+                m.setattr(CoverTracker, "add", record_add)
+                sol = grasp_construct(inst, bud, rcl, gen)
+            assert adds == want
+            assert sol.selected == set(want)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 def test_grasp_finds_toy_optimum(toy):
@@ -136,8 +176,10 @@ def _reference_chain(inst, bud, params, seed):
     """The annealer's chain on plain lists: per-requirement counts, cost and profit.
 
     Same stream use as ``sa``: the random feasible start, then one
-    (customer, uniform) pair per attempt, drawn in blocks of 8192.
-    Returns the best selection visited and the number of accepted drops.
+    (customer, uniform) pair per attempt, drawn in blocks of 8192.  It
+    runs the whole schedule, without ``sa``'s frozen stop.  Returns the
+    best selection visited, the number of accepted drops and the number
+    of cooling steps.
     """
     gen = rng.substream(seed, rng.SA_CHAIN)
     start = random_feasible(inst, bud, gen)
@@ -157,7 +199,7 @@ def _reference_chain(inst, bud, params, seed):
     temp = params.initial_temp
     if temp is None:
         temp = _calibrate_temp(inst, selected, params, seed)
-    drops = 0
+    drops = steps = 0
     draws: list[tuple[int, float]] = []
     while temp > params.final_temp:
         for _ in range(params.moves_per_temp):
@@ -186,10 +228,18 @@ def _reference_chain(inst, bud, params, seed):
                     best_profit = profit
                     best = {c + 1 for c in range(m) if selected[c]}
         temp = lundy_mees(temp, params.lm_beta)
-    return best, drops
+        steps += 1
+    return best, drops, steps
 
 
-def test_sa_matches_reference_chain():
+def test_sa_matches_reference_chain(monkeypatch):
+    steps = []
+
+    def counted(temp, lm_beta):
+        steps.append(temp)
+        return lundy_mees(temp, lm_beta)
+
+    monkeypatch.setattr(importlib.import_module("nrpbench.baselines"), "lundy_mees", counted)
     nrp1 = generate(builtin_spec("NRP-1"), 1)
     cases = [(bf.random_small_instance(seed), params, seed)
              for seed in range(1, 9) for params in (FAST_SA, WARM_SA)]
@@ -197,11 +247,32 @@ def test_sa_matches_reference_chain():
     drops = 0
     for inst, params, seed in cases:
         bud = budget(inst, "0.5")
-        best, n = _reference_chain(inst, bud, params, seed)
+        best, n, full = _reference_chain(inst, bud, params, seed)
+        steps.clear()
         assert sa(inst, bud, params, seed).selected == best
         drops += n
+        # a warm chain is never frozen and runs its whole schedule; a cold one may stop
+        assert len(steps) == full if params is WARM_SA else len(steps) <= full
+        if params is FAST_SA and inst is nrp1:
+            assert len(steps) < full
     # the chains walk: drops are accepted, not only adds
     assert drops > 0
+
+
+def test_sa_frozen_only_when_no_flip_can_pass(toy):
+    profits = toy.profit_vector
+    stuck = CoverTracker(toy, [1])  # cost 8 of 10: neither customer 2 nor 3 fits
+    edge = 10 / 750  # the rule's margin for the one selected profit, 10
+    assert _frozen(stuck, 10, profits, edge)
+    for temp in (edge, edge / 2, 1e-9):  # there and colder, a drop passes with probability 0
+        assert math.exp(-10 / temp) == 0.0
+    for temp in (0.02, 5.0):  # a drop can still pass
+        assert math.exp(-10 / temp) > 0.0
+        assert not _frozen(stuck, 10, profits, temp)
+    # customer 3 still fits beside customer 2, however cold the chain
+    assert not _frozen(CoverTracker(toy, [2]), 10, profits, 1e-9)
+    # nothing selected and nothing fits (every closure costs at least 4)
+    assert _frozen(CoverTracker(toy), 3, profits, 1e9)
 
 
 def test_sa_fixed_initial_temperature(toy):

@@ -150,6 +150,9 @@ def test_parse_config_errors(tmp_path):
         "unlistedsa.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = fhc\n[sa]\nlm_beta = nan\n",
         # a section that names neither bench nor an algorithm
         "typosection.ini": "[bench]\ngenerate = NRP-1@1\nalgorithms = haco\n[hac]\nants = 3\n",
+        # no worker at all, which once ran the matrix serially
+        "nojobs.ini": "[bench]\ngenerate = NRP-1@1\njobs = 0\n",
+        "negjobs.ini": "[bench]\ngenerate = NRP-1@1\njobs = -3\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -229,6 +232,42 @@ def test_run_bench_deterministic_and_jobs_invariant(toy_file, tmp_path):
     for name in names:
         assert (tmp_path / "da" / name).read_bytes() == \
             (tmp_path / "dc" / name).read_bytes()
+
+
+def test_run_bench_pool_never_outgrows_the_matrix(toy_file, tmp_path, monkeypatch):
+    # a fork pool starts every worker at its first submit, so its size is what it costs
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(importlib.import_module("nrpbench.bench").concurrent.futures,
+                        "ProcessPoolExecutor", InProcessPool)
+
+    def results(jobs):
+        config = _toy_config(toy_file, tmp_path, out=None, dump_dir=None, jobs=jobs)
+        return [(r.instance_name, r.budget_ratio, r.algorithm, r.seed, r.profit)
+                for r in run_bench(config)]
+
+    serial = results(1)
+    assert sizes == [] and len(serial) == 12
+    for jobs, want in ((400, 12), (12, 12), (5, 5), (2, 2)):
+        assert results(jobs) == serial
+        assert sizes.pop() == want and sizes == []
+    # one cell needs no pool, however many jobs are asked for
+    one = _toy_config(toy_file, tmp_path, ratios=["0.5"], seeds=[1], algorithms=["fhc"],
+                      out=None, dump_dir=None, jobs=400)
+    assert len(run_bench(one)) == 1 and sizes == []
 
 
 def test_run_bench_generated_source(tmp_path):

@@ -277,6 +277,21 @@ def test_bench_jobs_flag_overrides(toy_file, tmp_path):
     assert strip(tmp_path / "j2.csv") == strip(tmp_path / "j1.csv")
 
 
+def test_bench_refuses_fewer_than_one_job(tmp_path):
+    # both front ends refuse before any cell runs
+    cfg = tmp_path / "bench.ini"
+    for jobs_line, flags, words in (("", ["--jobs", "0"], "usage error: --jobs"),
+                                    ("", ["--jobs", "-3"], "usage error: --jobs"),
+                                    ("jobs = 0\n", [], "config error: jobs"),
+                                    ("jobs = -3\n", [], "config error: jobs")):
+        cfg.write_text("[bench]\ngenerate = NRP-1@1\nalgorithms = fhc\n" + jobs_line)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["bench", str(cfg), *flags])
+        assert rc == 1 and err.getvalue().startswith(words), err.getvalue()
+        assert out.getvalue() == ""
+
+
 # -- parameter surface (in process) ---------------------------------------------
 
 # the documented surface, written out by hand:

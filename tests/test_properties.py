@@ -1,12 +1,16 @@
 """Property tests over random small instances, degenerate ones included:
 no customers, customers with empty requests, zero budget and ratio 1."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, FhcParams, GraspParams, SaParams,
                       evaluate, make_instance, marginal_cost, random_feasible,
-                      read_instance, rng, solve_one, sweep_improve, write_instance)
+                      read_instance, roulette_select, rng, solve_one, sweep_improve,
+                      write_instance)
+from nrpbench.baselines import _top_k
 
 # derandomized: the tier-1 suite gives the same verdict on every run
 FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -105,3 +109,68 @@ def test_sweep_improve_leaves_no_move(case, seed):
 @given(instances())
 def test_write_read_round_trip(inst):
     assert read_instance(write_instance(inst)) == inst
+
+
+# -- the choice rules against the formulas they replace ----------------------
+
+
+@st.composite
+def candidate_lists(draw):
+    """A list length, ascending candidate ids and GRASP scores with frequent ties."""
+    rcl = draw(st.integers(1, 12))
+    k = draw(st.integers(1, rcl + 3))
+    ids = np.array(sorted(draw(st.sets(st.integers(0, 500), min_size=k, max_size=k))))
+    ratio = st.tuples(st.sampled_from([1, 2, 3, 6]), st.sampled_from([0, 1, 2, 3, 4]))
+    pairs = [draw(ratio)] * k if draw(st.booleans()) else draw(
+        st.lists(ratio, min_size=k, max_size=k))
+    score = np.array([w / max(1.0, m) for w, m in pairs])
+    return rcl, ids, score
+
+
+@FAST
+@given(candidate_lists())
+def test_top_k_is_the_head_of_a_full_sort(case):
+    rcl, ids, score = case
+    top = _top_k(-score, rcl)
+    assert top.tolist() == np.lexsort((ids, -score))[:rcl].tolist()
+
+
+def _positive_roulette(p, r):
+    """The roulette as first written: a running sum over the positive entries only."""
+    positive = (p > 0).nonzero()[0]
+    if positive.size == 0:
+        raise ValueError("no positive-probability candidate")
+    cum = p[positive].cumsum()
+    k = int(cum.searchsorted(r, side="left"))
+    if k >= positive.size:
+        k = positive.size - 1
+    return int(positive[k]) + 1
+
+
+@st.composite
+def weight_vectors(draw):
+    """Weights with leading, interior and trailing zeros; normalised or raw."""
+    zeros = st.integers(0, 3).map(lambda n: [0.0] * n)
+    body = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), max_size=20))
+    w = np.array(draw(zeros) + body + draw(zeros), dtype=np.float64)
+    if w.size == 0:
+        w = np.zeros(1)
+    if draw(st.booleans()) and w.sum() > 0:
+        w = w / w.sum()
+    return w
+
+
+@FAST
+@given(weight_vectors(), st.lists(st.floats(0.0, 1.0), max_size=5))
+def test_roulette_matches_the_positive_filter(p, uniforms):
+    if not (p > 0).any():
+        for r in (0.0, 0.5):
+            with pytest.raises(ValueError):
+                roulette_select(p, r)
+        return
+    cums = p.cumsum().tolist()
+    total = cums[-1]
+    rs = [0.0, total * (1 + 1e-12), *cums, *(u * total for u in uniforms),
+          *(np.nextafter(c, 0.0) for c in cums), *(np.nextafter(c, 2.0 * total) for c in cums)]
+    for r in rs:
+        assert roulette_select(p, r) == _positive_roulette(p, r), (p.tolist(), r)
