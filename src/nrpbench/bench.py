@@ -297,7 +297,12 @@ def _run_cell(args) -> tuple[RunRecord, dict | None]:
 
 
 def run_bench(config: BenchConfig) -> list[RunRecord]:
-    """Run the whole matrix and write CSV/markdown/dumps if configured."""
+    """Run the whole matrix and write CSV/markdown/dumps if configured.
+
+    ``config.jobs`` below 1 raises ``ValueError``.
+    """
+    if config.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {config.jobs}")
     cells = [
         (src, ratio, algo, seed, config.params.get(algo), config.dump_dir is not None)
         for src in config.sources

@@ -19,9 +19,14 @@ through other customers.
 each pass, so its output is a certified 1-swap local optimum: no
 feasible addition and no profit-improving feasible swap exists at all.
 The ant-colony hybrid uses this stronger operator on each constructed
-solution.  A pass prices swaps in doubling blocks of its order and stops
-at the first block with a movable customer; the move is the one a full
-pricing of the order would give.
+solution.  A pass first drops every customer that no swap could pay for:
+swapping j in for l costs at least cost + marginal(j) - freed(l), so j
+needs a selected l of lower profit that frees at least that excess over
+budget.  One sort of the selection by profit answers this for the whole
+order.  The pass then prices swaps for the rest in doubling blocks of the
+order and stops at the first block with a movable customer; since no
+movable customer is dropped, the move is the one a full pricing of the
+order would give.
 
 The standalone restart solver climbs with `improve` from independent
 random feasible selections and keeps the best result.
@@ -118,20 +123,23 @@ def _first_move(cover: CoverTracker, budget: int, profits: np.ndarray,
                 order: np.ndarray) -> tuple[int, int | None] | None:
     """(incoming, outgoing or None for an add) of the first movable customer in ``order``.
 
-    Adds are checked for the whole order at once; swaps are priced only
-    for the customers before the first feasible add, in disjoint blocks
-    that double in size, stopping at the first block with a movable one.
-    A swap must fit the budget and raise profit; the best one drops the
-    least profitable partner, ties to the smaller id.  The last pass of a
-    climb, which finds no move, prices each row once.
+    Adds are checked for the whole order at once.  Of the customers before
+    the first feasible add, only those :func:`_may_swap` keeps are priced,
+    in disjoint blocks that double in size, stopping at the first block
+    with a movable one.  The bound drops no movable customer, so the first
+    movable one, and its move, are those of pricing every row.  A swap
+    must fit the budget and raise profit; the best one drops the least
+    profitable partner, ties to the smaller id.
     """
     add_ok = (cover.cost + cover.marginal[order] <= budget).nonzero()[0]
     end = int(add_ok[0]) if add_ok.size else order.size
     if end:
         sel_idx = cover.selected.nonzero()[0]
+        rows = order[:end]
+        rows = rows[_may_swap(cover, budget, profits, rows, sel_idx)]
         lo, size = 0, _FIRST_BLOCK
-        while lo < end:
-            block = order[lo:min(lo + size, end)]
+        while lo < rows.size:
+            block = rows[lo:lo + size]
             ok = ((cover.swap_costs(block, sel_idx) <= budget)
                   & (profits[sel_idx] < profits[block][:, None]))
             movable = ok.any(axis=1).nonzero()[0]
@@ -141,6 +149,25 @@ def _first_move(cover: CoverTracker, budget: int, profits: np.ndarray,
                 return int(block[row]), int(out[np.argmin(profits[out])])
             lo, size = lo + size, 2 * size
     return (int(order[end]), None) if end < order.size else None
+
+
+def _may_swap(cover: CoverTracker, budget: int, profits: np.ndarray, rows: np.ndarray,
+              sel_idx: np.ndarray) -> np.ndarray:
+    """Mask over ``rows`` (unselected ids): False where no feasible profit-raising swap exists.
+
+    kept(j, l) >= 0, so swapping j in for l costs at least
+    cost + marginal(j) - freed(l): j can move only if some selected l with
+    p(l) < p(j) has freed(l) >= cost + marginal(j) - budget.  With the
+    selection ``sel_idx`` sorted by profit, the largest freed among the k
+    least profitable is a running maximum, and k for row j is the number
+    of profits strictly below p(j).
+    """
+    p_sel = profits[sel_idx]
+    by_profit = np.argsort(p_sel, kind="stable")
+    # most[k]: the largest freed(l) among the k least profitable selected customers
+    most = np.concatenate(([-np.inf], np.maximum.accumulate(cover.freed()[sel_idx[by_profit]])))
+    below = p_sel[by_profit].searchsorted(profits[rows], side="left")
+    return most[below] >= cover.cost + cover.marginal[rows] - budget
 
 
 def fhc(instance: Instance, budget: int, params: FhcParams, seed: int) -> Solution:

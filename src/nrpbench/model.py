@@ -146,10 +146,11 @@ class Instance:
         self._csr_ptr = np.asarray(ptr, dtype=np.intp)
         self._csr_req = np.asarray(entries, dtype=np.intp)
         self._closure_idx = tuple(self._csr_req[a:b] for a, b in zip(ptr, ptr[1:]))
+        # the customer of every closure entry
+        self._csr_row = np.repeat(np.arange(len(members)), np.diff(ptr))
         # the transpose: requirement r's customers, sorted, as views of one array
         # (a stable sort keeps each requirement's entries in customer order)
-        cust = np.repeat(np.arange(len(members)), np.diff(ptr))
-        by_req = cust[np.argsort(self._csr_req, kind="stable")]
+        by_req = self._csr_row[np.argsort(self._csr_req, kind="stable")]
         req_ptr = np.concatenate(([0], np.cumsum(np.bincount(self._csr_req, minlength=n))))
         self._needed_by = tuple(by_req[a:b] for a, b in zip(req_ptr[:-1], req_ptr[1:]))
         self._closure_cost_vec = np.asarray([c.closure_cost for c in members], dtype=np.int64)
@@ -380,6 +381,12 @@ class CoverTracker:
     those lists; ``swap_costs`` prices 1-swaps.  Everything is read from
     the closure's index lists; marginals are integers held in float64, so
     every comparison is exact.
+
+    Pricing reads each requirement's *owner sum*: the sum of the 0-based
+    ids of the selected customers that need it, which is the owner itself
+    where ``counts`` is 1.  The first pricing call builds the sums and
+    every later flip keeps them, so a tracker that never prices (a
+    construction's) pays one ``is None`` test per flip for them.
     """
 
     def __init__(self, instance: Instance, start: Iterable[int] = ()):
@@ -399,14 +406,16 @@ class CoverTracker:
             _customer_index(instance, int(ids[bad.argmax()]))  # raises
         self.selected = np.zeros(instance.n_customers, dtype=bool)
         self.selected[ids - 1] = True
-        ptr, req = instance._csr_ptr, instance._csr_req
-        # the customer of every closure entry
-        row = np.repeat(np.arange(instance.n_customers), ptr[1:] - ptr[:-1])
+        row, req = instance._csr_row, instance._csr_req
         self.counts = np.bincount(req[self.selected[row]], minlength=instance.n_requirements)
         self.cost = int(instance.cost_vector[self.counts > 0].sum())
         # a customer's marginal is the cost of its uncovered requirements
         uncovered = self._cost_f * (self.counts == 0)
         self.marginal = np.bincount(row, weights=uncovered[req], minlength=instance.n_customers)
+        # per requirement, the selected customers' summed ids; None until the first pricing
+        self._owner_sum = None
+        # (owner, freed) of the current selection, until the next flip
+        self._owned = None
 
     def add(self, index: int) -> None:
         """Add customer by 0-based index."""
@@ -421,6 +430,9 @@ class CoverTracker:
         counts = self.counts[idx]
         self.counts[idx] = counts + step
         self.selected[index] = step > 0
+        if self._owner_sum is not None:
+            self._owner_sum[idx] += step * index
+            self._owned = None
         # the requirements whose coverage changes: uncovered before an add,
         # singly covered before a drop; customer ``index`` needs each of them
         for r in idx[counts == (0 if step > 0 else 1)].tolist():
@@ -435,6 +447,29 @@ class CoverTracker:
         """0-based ids of the unselected customers that fit within budget."""
         return (~self.selected & (self.cost + self.marginal <= budget)).nonzero()[0]
 
+    def freed(self) -> np.ndarray:
+        """freed(l) for every customer l: the cost of the requirements only l
+        covers, which dropping l saves (zero for an unselected l)."""
+        return self._owners()[1]
+
+    def _owners(self) -> tuple[np.ndarray, np.ndarray]:
+        """(owner, freed) of the current selection, worked out once per state.
+
+        owner[r] is the one selected customer that needs requirement r where
+        ``counts[r]`` is 1, and n elsewhere; freed sums requirement costs by
+        owner.  Both take one pass over the requirements and the customers.
+        """
+        if self._owned is None:
+            n = self._inst.n_customers
+            if self._owner_sum is None:
+                row, req = self._inst._csr_row, self._inst._csr_req
+                held = self.selected[row]
+                self._owner_sum = np.bincount(req[held], weights=row[held],
+                                              minlength=self._inst.n_requirements).astype(np.intp)
+            owner = np.where(self.counts == 1, self._owner_sum, n)
+            self._owned = owner, np.bincount(owner, weights=self._cost_f, minlength=n + 1)[:n]
+        return self._owned
+
     def swap_costs(self, incoming, outgoing) -> np.ndarray:
         """Union cost after swapping j in for l; rows follow ``incoming``, columns ``outgoing``.
 
@@ -444,26 +479,23 @@ class CoverTracker:
         where freed(l) sums l's singly covered requirements and kept(j, l)
         restricts that sum to the ones j needs.
 
-        A singly covered requirement has one *owner*, the selected customer
-        that needs it, found from the closure entries of ``outgoing``.  Both
-        sums are then weighted counts: freed of requirement costs by owner,
-        kept of the incoming rows' entries by (row, owner's column); owners
-        outside ``outgoing`` are dropped.  Apart from one pass over the
-        requirements, work is proportional to the closures of the customers
-        involved.
+        A singly covered requirement has one *owner*, read from the
+        tracker's owner sums; owners and freed are worked out once per
+        selection and shared by every call until the next flip.  kept is
+        then a weighted count of the incoming rows' closure entries by
+        (row, owner's column); owners outside ``outgoing`` are dropped.
+        Apart from one pass over the customers, work is proportional to
+        the incoming rows' closures.
         """
-        n_out = len(outgoing)
-        col, req = _closure_entries(self._inst, outgoing)
-        # column n_out collects the requirements no outgoing customer owns
-        owner = np.full(self._inst.n_requirements, n_out, dtype=np.intp)
-        owner[req] = col
-        owner[self.counts != 1] = n_out
-        freed = np.bincount(owner, weights=self._cost_f, minlength=n_out + 1)[:n_out]
+        owner, freed = self._owners()
+        n_in, n_out = len(incoming), len(outgoing)
+        # each customer's column; n_out for customers outside ``outgoing`` and for no owner (n)
+        col = np.full(self._inst.n_customers + 1, n_out, dtype=np.intp)
+        col[outgoing] = np.arange(n_out)
         row, req = _closure_entries(self._inst, incoming)
-        n_in = len(incoming)
-        kept = np.bincount(row * (n_out + 1) + owner[req], weights=self._cost_f[req],
+        kept = np.bincount(row * (n_out + 1) + col[owner[req]], weights=self._cost_f[req],
                            minlength=n_in * (n_out + 1)).reshape(n_in, n_out + 1)
-        return kept[:, :n_out] - freed + (self.cost + self.marginal[incoming])[:, None]
+        return kept[:, :n_out] - freed[outgoing] + (self.cost + self.marginal[incoming])[:, None]
 
     def solution(self) -> Solution:
         """The current selection as a :class:`Solution`, read from the tracker's state."""

@@ -270,6 +270,15 @@ def test_run_bench_pool_never_outgrows_the_matrix(toy_file, tmp_path, monkeypatc
     assert len(run_bench(one)) == 1 and sizes == []
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_bench_refuses_fewer_than_one_job(toy_file, tmp_path, jobs):
+    # the Python API keeps the front ends' bound instead of running serially
+    config = _toy_config(toy_file, tmp_path, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_bench(config)
+    assert not (tmp_path / "out").exists() and not (tmp_path / "dumps").exists()
+
+
 def test_run_bench_generated_source(tmp_path):
     cfg = BenchConfig(sources=[GenSource(builtin_spec("NRP-1"), 3)],
                       ratios=["0.5"], seeds=[1], algorithms=["fhc"],

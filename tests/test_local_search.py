@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
 
 import bruteforce as bf
-from nrpbench import (CoverTracker, FhcParams, InfeasibleStartError, Solution, budget,
-                      builtin_spec, evaluate, fhc, generate, improve, random_feasible,
-                      rng, sweep_improve)
+from nrpbench import (AcoParams, CoverTracker, FhcParams, InfeasibleStartError, Solution,
+                      budget, builtin_spec, construct_solution, evaluate, fhc, generate,
+                      heuristic_info, improve, init_pheromone, random_feasible, rng,
+                      solve_one, sweep_improve)
+from nrpbench import local_search
+from nrpbench.model import _closure_entries
 
 
 def test_random_feasible_boundaries(toy):
@@ -172,6 +176,117 @@ def test_climbs_match_brute_force_reference(name, ratio, monkeypatch):
         assert bf.check_solution(inst, out, bud) == []
     # every sweep swaps; improve, which can stop early, swaps in some climbs
     assert all(swapped) if name == "sweep_improve" else any(swapped)
+
+
+def _gathered_swap_costs(inst, cover, incoming, outgoing):
+    """Swap pricing with owners gathered from the closure entries of ``outgoing``."""
+    n_out = len(outgoing)
+    col, req = _closure_entries(inst, outgoing)
+    owner = np.full(inst.n_requirements, n_out, dtype=np.intp)
+    owner[req] = col
+    owner[cover.counts != 1] = n_out
+    cost_f = inst.cost_vector.astype(np.float64)
+    freed = np.bincount(owner, weights=cost_f, minlength=n_out + 1)[:n_out]
+    row, req = _closure_entries(inst, incoming)
+    n_in = len(incoming)
+    kept = np.bincount(row * (n_out + 1) + owner[req], weights=cost_f[req],
+                       minlength=n_in * (n_out + 1)).reshape(n_in, n_out + 1)
+    return kept[:, :n_out] - freed + (cover.cost + cover.marginal[incoming])[:, None]
+
+
+def _unfiltered_first_move(inst, cover, bud, order):
+    """The pass without the row bound: every row ahead of the first add may be priced."""
+    profits = inst.profit_vector
+    add_ok = (cover.cost + cover.marginal[order] <= bud).nonzero()[0]
+    end = int(add_ok[0]) if add_ok.size else order.size
+    if end:
+        sel_idx = cover.selected.nonzero()[0]
+        lo, size = 0, 8
+        while lo < end:
+            block = order[lo:min(lo + size, end)]
+            ok = ((_gathered_swap_costs(inst, cover, block, sel_idx) <= bud)
+                  & (profits[sel_idx] < profits[block][:, None]))
+            movable = ok.any(axis=1).nonzero()[0]
+            if movable.size:
+                row = int(movable[0])
+                out = sel_idx[ok[row]]
+                return int(block[row]), int(out[np.argmin(profits[out])])
+            lo, size = lo + size, 2 * size
+    return (int(order[end]), None) if end < order.size else None
+
+
+def _unfiltered_sweep(inst, bud, start, gen):
+    """sweep_improve's passes through :func:`_unfiltered_first_move`; returns each pass's move."""
+    cover = CoverTracker(inst, start.selected)
+    moves = []
+    while True:
+        out_idx = (~cover.selected).nonzero()[0]
+        if out_idx.size == 0:
+            return moves
+        moves.append(_unfiltered_first_move(inst, cover, bud,
+                                            out_idx[gen.permutation(out_idx.size)]))
+        if moves[-1] is None:
+            return moves
+        j, l = moves[-1]
+        cover.add(j)
+        if l is not None:
+            cover.drop(l)
+
+
+@pytest.mark.parametrize("ratio", ["0.3", "0.5", "0.7"])
+@pytest.mark.parametrize("family", ["NRP-2", "NRP-3"])
+def test_sweep_matches_unfiltered_pricing(family, ratio, monkeypatch):
+    # the row bound and the owner sums change which rows are priced and how,
+    # never a move: from ant starts, as HACO climbs, every pass agrees
+    inst = generate(builtin_spec(family), 1)
+    bud = budget(inst, ratio)
+    state, eta = init_pheromone(inst), heuristic_info(inst)
+    first_move = local_search._first_move
+    moves = []
+
+    def record(*args):
+        moves.append(first_move(*args))
+        return moves[-1]
+
+    monkeypatch.setattr(local_search, "_first_move", record)
+    swaps = 0
+    for k in (1, 2):
+        gen, ref_gen = rng.substream(1, rng.ANT, 1, k), rng.substream(1, rng.ANT, 1, k)
+        start = construct_solution(inst, bud, state, eta, AcoParams(), gen)
+        assert construct_solution(inst, bud, state, eta, AcoParams(), ref_gen) == start
+        moves.clear()
+        out = sweep_improve(inst, bud, start, gen)
+        assert moves == _unfiltered_sweep(inst, bud, start, ref_gen)
+        assert gen.random() == ref_gen.random()
+        assert bf.check_solution(inst, out, bud) == []
+        swaps += sum(m is not None and m[1] is not None for m in moves)
+    assert swaps
+
+
+def test_sweep_prices_few_rows(monkeypatch):
+    # the haco-sweep benchmark cells at solver seed 1: without the row bound,
+    # pricing reaches 26718 of the 274144 rows the passes order (about 1/10);
+    # with it, 3682 (about 1/75)
+    swap_costs, first_move = CoverTracker.swap_costs, local_search._first_move
+    priced, ordered = [0], [0]
+
+    def count_priced(self, incoming, outgoing):
+        priced[0] += len(incoming)
+        return swap_costs(self, incoming, outgoing)
+
+    def count_ordered(cover, bud, profits, order):
+        ordered[0] += order.size
+        return first_move(cover, bud, profits, order)
+
+    monkeypatch.setattr(CoverTracker, "swap_costs", count_priced)
+    monkeypatch.setattr(local_search, "_first_move", count_ordered)
+    params = AcoParams(ants=2, iterations=2, use_local_search=True)
+    for family in ("NRP-2", "NRP-3"):
+        inst = generate(builtin_spec(family), 1)
+        for ratio in ("0.3", "0.5", "0.7"):
+            solve_one(inst, budget(inst, ratio), "haco", 1, params)
+    assert ordered[0] > 100_000
+    assert 0 < priced[0] < ordered[0] / 40
 
 
 def test_fhc_escapes_local_optimum_with_restarts(toy):

@@ -11,6 +11,7 @@ from nrpbench import (AcoParams, CoverTracker, FhcParams, GraspParams, SaParams,
                       read_instance, roulette_select, rng, solve_one, sweep_improve,
                       write_instance)
 from nrpbench.baselines import _top_k
+from nrpbench.local_search import _may_swap
 
 # derandomized: the tier-1 suite gives the same verdict on every run
 FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -103,6 +104,36 @@ def test_sweep_improve_leaves_no_move(case, seed):
     assert out.profit >= start.profit
     assert bf.check_solution(inst, out, bud) == []
     assert bf.has_improving_move(inst, out, bud) is None
+
+
+@FAST
+@given(instance_and_budget(), st.lists(st.integers(0, 6), max_size=12))
+def test_swap_bound_drops_only_unmovable_customers(case, toggles):
+    # a random feasible selection: each toggle drops a selected customer or
+    # adds one that still fits; freed() is read first, so the owner sums it
+    # builds are carried through every flip
+    inst, bud = case
+    profits = inst.profit_vector
+    cover = CoverTracker(inst)
+    cover.freed()
+    for t in toggles:
+        if inst.n_customers == 0:
+            break
+        i = t % inst.n_customers
+        if cover.selected[i]:
+            cover.drop(i)
+        elif cover.cost + cover.marginal[i] <= bud:
+            cover.add(i)
+    chosen = {int(c) + 1 for c in cover.selected.nonzero()[0]}
+    for l in range(1, inst.n_customers + 1):
+        freed = cover.cost - evaluate(inst, chosen - {l}).cost if l in chosen else 0
+        assert cover.freed()[l - 1] == freed
+    rows = (~cover.selected).nonzero()[0]
+    keep = _may_swap(cover, bud, profits, rows, cover.selected.nonzero()[0])
+    for j in rows[~keep] + 1:
+        for l in chosen:
+            if profits[l - 1] < profits[j - 1]:
+                assert evaluate(inst, chosen - {l} | {j}).cost > bud, (j, l)
 
 
 @FAST
