@@ -19,7 +19,9 @@ temperature is too low for any drop to pass, so every later attempt
 would be refused and the result is the same.
 
 The exact solver enumerates customer subsets depth-first in id order
-with a remaining-profit bound and is guarded to small customer counts.
+with a remaining-profit bound, flipping customers through the same
+:class:`~nrpbench.model.CoverTracker`, and refuses instances with more
+than :data:`EXACT_GUARD` customers.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ import numpy as np
 from . import rng
 from .local_search import improve, random_feasible
 from .model import CoverTracker, Instance, Solution, _construct, evaluate
+
+
+# the most customers :func:`exact` enumerates
+EXACT_GUARD = 25
 
 
 class TooLargeError(Exception):
@@ -221,54 +227,41 @@ def expected_sa_attempts(params: SaParams, initial_temp: float | None = None) ->
     return int(math.ceil(steps)) * params.moves_per_temp
 
 
-def exact(instance: Instance, budget: int, guard: int = 25) -> Solution:
-    """Optimal solution by pruned depth-first subset enumeration.
+def exact(instance: Instance, budget: int) -> Solution:
+    """Optimal solution by depth-first subset enumeration on one :class:`CoverTracker`.
 
-    Ties prefer the lexicographically smallest id set.  Refuses
-    instances with more than `guard` customers.
+    Customers are decided in id order, a fitting add (then its drop) before
+    the skip.  A branch whose profit plus every later customer's cannot beat
+    the best is cut, and only a strictly better profit replaces the best, so
+    ties go to the lexicographically smallest id set.  Refuses instances
+    with more than :data:`EXACT_GUARD` customers.
     """
     instance.require_valid()
     m = instance.n_customers
-    if m > guard:
-        raise TooLargeError(f"exact solver limited to {guard} customers, instance has {m}")
+    if m > EXACT_GUARD:
+        raise TooLargeError(f"exact solver limited to {EXACT_GUARD} customers, instance has {m}")
 
-    costs = [r.cost for r in instance.requirements]
-    masks = []
-    for cust in instance.customers:
-        bits = 0
-        for r in cust.closure:
-            bits |= 1 << (r - 1)
-        masks.append(bits)
     profits = [c.profit for c in instance.customers]
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + profits[i]
 
+    cover = CoverTracker(instance)
     best_profit = 0
-    best_sel: tuple[int, ...] = ()
+    best_sel = cover.selected.copy()
 
-    def added_cost(covered: int, mask: int) -> int:
-        new = mask & ~covered
-        total = 0
-        while new:
-            low = new & -new
-            total += costs[low.bit_length() - 1]
-            new ^= low
-        return total
-
-    def dfs(i: int, covered: int, cost: int, profit: int, chosen: list[int]) -> None:
+    def dfs(i: int, profit: int) -> None:
         nonlocal best_profit, best_sel
         if profit > best_profit:
             best_profit = profit
-            best_sel = tuple(chosen)
+            best_sel = cover.selected.copy()
         if i == m or profit + suffix[i] <= best_profit:
             return
-        extra = added_cost(covered, masks[i])
-        if cost + extra <= budget:
-            chosen.append(i + 1)
-            dfs(i + 1, covered | masks[i], cost + extra, profit + profits[i], chosen)
-            chosen.pop()
-        dfs(i + 1, covered, cost, profit, chosen)
+        if cover.cost + cover.marginal[i] <= budget:
+            cover.add(i)
+            dfs(i + 1, profit + profits[i])
+            cover.drop(i)
+        dfs(i + 1, profit)
 
-    dfs(0, 0, 0, 0, [])
-    return evaluate(instance, best_sel)
+    dfs(0, 0)
+    return evaluate(instance, (best_sel.nonzero()[0] + 1).tolist())

@@ -207,9 +207,12 @@ def parse_bench_config(path) -> BenchConfig:
             raise ConfigError(f"generate entry {token!r} must look like NRP-1@seed")
         try:
             spec = builtin_spec(name)
-            sources.append(GenSource(spec, int(s)))
+            seed = int(s)
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        if seed < 0:
+            raise ConfigError(f"generate entry {token!r} has a negative seed")
+        sources.append(GenSource(spec, seed))
     for token in b.get("files", "").split():
         p = Path(token)
         if not p.is_absolute():
@@ -230,6 +233,8 @@ def parse_bench_config(path) -> BenchConfig:
         seeds = [int(s) for s in b.get("seeds", "1").split()]
     except ValueError:
         raise ConfigError("seeds must be integers") from None
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
     # by default all but exact, which refuses large instances
     algorithms = b.get("algorithms", " ".join(a for a in ALGORITHMS if a != "exact")).split()
     sections = [s for s in cfg.sections() if s != "bench"]

@@ -43,6 +43,8 @@ class GenSpec:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("at least one level is required")
+        if self.customer_count < 0:
+            raise ValueError(f"customer_count must be non-negative, got {self.customer_count}")
         for lv in self.levels[:-1]:
             if lv.max_children < 1:
                 raise ValueError("only the last level may have max_children = 0")
@@ -146,18 +148,25 @@ def generate(spec: GenSpec, seed: int) -> Instance:
 
 
 def spec_from_dict(data: dict) -> GenSpec:
-    """Build a GenSpec from a plain dict (the JSON spec-file layout)."""
+    """Build a GenSpec from a plain dict (the JSON spec-file layout); a
+    number that is not whole (2.7) is refused, not cut down."""
+    def whole(d: dict, key: str, default=None) -> int:
+        value = d[key] if default is None else d.get(key, default)
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be a whole number, got {value}")
+        return int(value)
+
     levels = tuple(
-        LevelSpec(int(lv["count"]), int(lv["cost_min"]), int(lv["cost_max"]),
-                  int(lv["max_children"]))
+        LevelSpec(whole(lv, "count"), whole(lv, "cost_min"), whole(lv, "cost_max"),
+                  whole(lv, "max_children"))
         for lv in data["levels"]
     )
     return GenSpec(
         name=str(data.get("name", "custom")),
         levels=levels,
-        customer_count=int(data["customer_count"]),
-        request_min=int(data["request_min"]),
-        request_max=int(data["request_max"]),
-        profit_min=int(data.get("profit_min", 1)),
-        profit_max=int(data.get("profit_max", 30)),
+        customer_count=whole(data, "customer_count"),
+        request_min=whole(data, "request_min"),
+        request_max=whole(data, "request_max"),
+        profit_min=whole(data, "profit_min", 1),
+        profit_max=whole(data, "profit_max", 30),
     )

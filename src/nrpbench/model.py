@@ -10,12 +10,13 @@ closures (shared requirements counted once) and its profit is the sum
 of their profits.
 
 All ids are 1-based.  Instances are immutable after construction; the
-derived per-customer closures and the numpy views used by the solvers
-are computed once when the instance is built.
+derived closures and the numpy views used by the solvers are computed
+once when the instance is built.
 
 The closure is held once, as sorted index lists in both directions: a
 CSR form (each customer's requirements; ``closure_indices`` are its row
-views) and its transpose (each requirement's customers).
+views) and its transpose (each requirement's customers); a
+:class:`Customer` keeps only what the instance file gives.
 :class:`CoverTracker` is the one mutable cover state the solvers share:
 a selection's mask, per-requirement counts, union cost and every
 customer's marginal add cost, kept up to date move by move.  The
@@ -54,11 +55,11 @@ class DependencyGraph:
 
 @dataclass(frozen=True)
 class Customer:
+    """A customer as the file gives it; its closure is in the instance's index lists."""
+
     id: int
     profit: int
     requests: tuple[int, ...]
-    closure: frozenset[int]
-    closure_cost: int
 
 
 @dataclass(frozen=True)
@@ -116,44 +117,37 @@ class Instance:
         self.level_sizes = level_sizes
         self.total_cost = sum(costs)
 
+        self.customers = tuple(
+            Customer(i + 1, w, reqs) for i, (w, reqs) in enumerate(raw_customers))
         self._issues = tuple(_structural_issues(costs, edge_list, raw_customers))
         if self._issues:
-            self.customers: tuple[Customer, ...] = tuple(
-                Customer(i + 1, w, reqs, frozenset(), 0)
-                for i, (w, reqs) in enumerate(raw_customers)
-            )
             self._cost_vec = None
             return
 
         parents = _parent_lists(n, edge_list)
-        members = []
         # CSR form of the closure: customer i's requirements, sorted, are
         # _csr_req[_csr_ptr[i]:_csr_ptr[i + 1]]
         ptr = [0]
         entries: list[int] = []
-        for i, (w, reqs) in enumerate(raw_customers):
-            closure = _prerequisite_closure(parents, reqs)
-            req_idx = sorted(r - 1 for r in closure)
-            entries.extend(req_idx)
+        for _w, reqs in raw_customers:
+            entries.extend(sorted(r - 1 for r in _prerequisite_closure(parents, reqs)))
             ptr.append(len(entries))
-            ccost = sum(costs[r] for r in req_idx)
-            members.append(Customer(i + 1, w, reqs, frozenset(closure), ccost))
-        self.customers = tuple(members)
 
         self._cost_vec = np.asarray(costs, dtype=np.int64)
         self._cost_f64 = self._cost_vec.astype(np.float64)
-        self._profit_vec = np.asarray([c.profit for c in members], dtype=np.int64)
+        self._profit_vec = np.asarray([w for w, _reqs in raw_customers], dtype=np.int64)
         self._csr_ptr = np.asarray(ptr, dtype=np.intp)
         self._csr_req = np.asarray(entries, dtype=np.intp)
         self._closure_idx = tuple(self._csr_req[a:b] for a, b in zip(ptr, ptr[1:]))
         # the customer of every closure entry
-        self._csr_row = np.repeat(np.arange(len(members)), np.diff(ptr))
+        self._csr_row = np.repeat(np.arange(len(raw_customers)), np.diff(ptr))
         # the transpose: requirement r's customers, sorted, as views of one array
         # (a stable sort keeps each requirement's entries in customer order)
         by_req = self._csr_row[np.argsort(self._csr_req, kind="stable")]
         req_ptr = np.concatenate(([0], np.cumsum(np.bincount(self._csr_req, minlength=n))))
         self._needed_by = tuple(by_req[a:b] for a, b in zip(req_ptr[:-1], req_ptr[1:]))
-        self._closure_cost_vec = np.asarray([c.closure_cost for c in members], dtype=np.int64)
+        self._closure_cost_vec = np.bincount(self._csr_row, weights=self._cost_vec[self._csr_req],
+                                             minlength=len(raw_customers)).astype(np.int64)
 
     # -- structure ---------------------------------------------------------
 
@@ -323,9 +317,11 @@ def validate(instance: Instance) -> list[ValidationIssue]:
 
 
 def closure(instance: Instance, customer_id: int) -> frozenset[int]:
-    """Requirements that must be developed to satisfy one customer."""
+    """Requirements that must be developed to satisfy one customer, built
+    on each call from its ``closure_indices`` row."""
     instance.require_valid()
-    return instance.customers[_customer_index(instance, customer_id)].closure
+    idx = instance.closure_indices[_customer_index(instance, customer_id)]
+    return frozenset((idx + 1).tolist())
 
 
 def evaluate(instance: Instance, selected: Iterable[int]) -> Solution:
@@ -357,10 +353,7 @@ def marginal_cost(instance: Instance, solution: Solution, customer_id: int) -> i
     instance.require_valid()
     if customer_id in solution.selected:
         raise ValueError(f"customer {customer_id} is already selected")
-    i = _customer_index(instance, customer_id)
-    new = instance.customers[i].closure - solution.covered
-    if not new:
-        return 0
+    new = closure(instance, customer_id) - solution.covered
     return int(instance.cost_vector[[r - 1 for r in new]].sum())
 
 
@@ -439,9 +432,6 @@ class CoverTracker:
             c = step * self._reqs[r].cost
             self.cost += c
             self.marginal[self._needed_by[r]] -= c
-
-    def marginal_of(self, index: int) -> int:
-        return int(self.marginal[index])
 
     def affordable(self, budget: int) -> np.ndarray:
         """0-based ids of the unselected customers that fit within budget."""

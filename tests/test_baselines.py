@@ -309,20 +309,23 @@ def test_exact_breaks_ties_lexicographically():
 
 
 def test_exact_matches_subset_enumeration():
-    for seed in range(1, 31):
+    # the selection itself, ties included, is the enumeration's lexicographic pick
+    for seed in range(1, 61):
         inst = bf.random_small_instance(seed)
-        b = budget(inst, 0.5)
-        best_profit, best_sel = bf.brute_best(inst, b)
-        sol = exact(inst, b)
-        assert sol.profit == best_profit
-        assert tuple(sorted(sol.selected)) == best_sel
+        for ratio in ("0.3", "0.5", "0.7"):
+            b = budget(inst, ratio)
+            best_profit, best_sel = bf.brute_best(inst, b)
+            sol = exact(inst, b)
+            assert sol.profit == best_profit
+            assert tuple(sorted(sol.selected)) == best_sel
 
 
 def test_exact_guard():
+    inst = make_instance([1], [], [(1, [1])] * 25)
+    assert exact(inst, 1).profit == 25
     inst = make_instance([1], [], [(1, [1])] * 26)
     with pytest.raises(TooLargeError):
         exact(inst, 1)
-    assert exact(inst, 1, guard=30).profit == 26
 
 
 def test_heuristics_never_beat_exact():

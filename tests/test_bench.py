@@ -153,6 +153,9 @@ def test_parse_config_errors(tmp_path):
         # no worker at all, which once ran the matrix serially
         "nojobs.ini": "[bench]\ngenerate = NRP-1@1\njobs = 0\n",
         "negjobs.ini": "[bench]\ngenerate = NRP-1@1\njobs = -3\n",
+        # seeds the random streams refuse, which once failed every cell instead
+        "negseed.ini": "[bench]\ngenerate = NRP-1@1\nseeds = 1 -1\n",
+        "neggenseed.ini": "[bench]\ngenerate = NRP-1@-2\n",
     }
     for name, text in cases.items():
         path = tmp_path / name

@@ -82,6 +82,12 @@ def test_gen_custom_spec(tmp_path):
     bad.write_text("{not json")
     rc, _, err = run_cli("gen", "--spec", bad, "--out", tmp_path / "x.txt")
     assert rc == 2 and "bad spec file" in err
+    # a negative or fractional customer count is a bad spec, not 0 or 2 customers
+    for count in (-5, 2.7):
+        bad.write_text(json.dumps({**spec, "customer_count": count}))
+        rc, _, err = run_cli("gen", "--spec", bad, "--out", tmp_path / "x.txt")
+        assert rc == 2 and "error: bad spec file" in err and "customer_count" in err
+        assert not (tmp_path / "x.txt").exists()
 
 
 def test_gen_usage_errors(tmp_path):
@@ -264,6 +270,12 @@ def test_bench_config_errors(tmp_path):
         cfg.write_text(f"[bench]\ngenerate = NRP-1@1\nalgorithms = haco\n[haco]\n{body}\n")
         rc, _, err = run_cli("bench", cfg)
         assert rc == 1 and err.startswith("config error:") and phrase in err
+    # a negative seed is refused before any cell runs
+    for body in ("generate = NRP-1@1\nseeds = -1", "generate = NRP-1@-2"):
+        cfg.write_text(f"[bench]\n{body}\nalgorithms = fhc\nout = r\n")
+        rc, _, err = run_cli("bench", cfg)
+        assert rc == 1 and err.startswith("config error:") and "negative" in err
+        assert not (tmp_path / "r.csv").exists()
 
 
 def test_bench_jobs_flag_overrides(toy_file, tmp_path):

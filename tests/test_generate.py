@@ -112,6 +112,14 @@ def test_spec_from_dict():
     inst = generate(spec, 1)
     assert (inst.n_requirements, inst.n_customers) == (8, 7)
     assert validate(inst) == []
+    # a whole float passes; a fraction is refused, not cut down
+    assert spec_from_dict({**data, "customer_count": 7.0}) == spec
+    for key, value in (("customer_count", 2.7), ("request_max", 2.5), ("customer_count", -5)):
+        with pytest.raises(ValueError, match=key):
+            spec_from_dict({**data, key: value})
+    levels = [{**data["levels"][0], "count": 3.5}, data["levels"][1]]
+    with pytest.raises(ValueError, match="count"):
+        spec_from_dict({**data, "levels": levels})
 
 
 def test_spec_validation():
@@ -126,6 +134,9 @@ def test_spec_validation():
         GenSpec("x", (LevelSpec(2, 4, 3, 0),), 5, 1, 2)  # cost_min > cost_max
     with pytest.raises(ValueError):
         GenSpec("x", (last,), 5, 1, 2, profit_min=5, profit_max=4)
+    with pytest.raises(ValueError, match="customer_count"):
+        GenSpec("x", (last,), -5, 1, 2)
+    assert GenSpec("x", (last,), 0, 1, 2).customer_count == 0
 
 
 def test_different_seeds_differ_overwhelmingly():

@@ -162,7 +162,7 @@ def test_cover_tracker_matches_marginal():
         sol = evaluate(inst, [])
         taken = []
         for c in (int(x) + 1 for x in gen.permutation(inst.n_customers)):
-            assert tracker.marginal_of(c - 1) == marginal_cost(inst, sol, c)
+            assert tracker.marginal[c - 1] == marginal_cost(inst, sol, c)
             tracker.add(c - 1)
             taken.append(c)
             sol = evaluate(inst, taken)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, FhcParams, GraspParams, SaParams,
-                      evaluate, make_instance, marginal_cost, random_feasible,
+                      closure, evaluate, make_instance, marginal_cost, random_feasible,
                       read_instance, roulette_select, rng, solve_one, sweep_improve,
                       write_instance)
 from nrpbench.baselines import _top_k
@@ -44,7 +44,9 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
     # the tracker and evaluate read the same closure lists, so both are also
     # checked against the oracle, which reads only the raw requests and edges
     for cust, idx in zip(inst.customers, inst.closure_indices):
-        assert idx.tolist() == sorted(r - 1 for r in bf.brute_closure(inst, cust.requests))
+        want = bf.brute_closure(inst, cust.requests)
+        assert idx.tolist() == sorted(r - 1 for r in want)
+        assert closure(inst, cust.id) == frozenset(want)
     sol = evaluate(inst, ())
     assert (sol.covered, sol.cost, sol.profit) == (frozenset(), 0, 0)
     cover = CoverTracker(inst)
@@ -60,8 +62,11 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
         assert cover.cost == sol.cost
         assert cover.solution() == sol
         for c in range(1, inst.n_customers + 1):
-            want = 0 if c in chosen else marginal_cost(inst, sol, c)
-            assert cover.marginal_of(c - 1) == want
+            want = 0
+            if c not in chosen:
+                want = marginal_cost(inst, sol, c)
+                assert want == evaluate(inst, chosen | {c}).cost - sol.cost
+            assert cover.marginal[c - 1] == want
         fresh = CoverTracker(inst, chosen)
         assert fresh.cost == cover.cost
         assert (fresh.marginal == cover.marginal).all()
