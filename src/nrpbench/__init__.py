@@ -6,22 +6,21 @@ maximizing total profit.  Ships a seeded instance generator, an ant
 colony solver with optional hill-climbing hybridization, three classic
 baselines, a small exact solver, and a benchmark harness that compares
 them on a reproducible run matrix.
+
+The package namespace holds the documented API; solver steps and other
+internals are imported from their modules (``nrpbench.aco``,
+``nrpbench.local_search``, ``nrpbench.baselines``, ``nrpbench.model``).
 """
 
 from .model import (
     CoverTracker,
-    Customer,
-    DependencyGraph,
     Instance,
     InvalidInstanceError,
-    Requirement,
     Solution,
-    ValidationIssue,
     budget,
     closure,
     evaluate,
     make_instance,
-    marginal_cost,
     validate,
 )
 from .fileformat import (
@@ -37,119 +36,61 @@ from .generate import (
     builtin_names,
     builtin_spec,
     generate,
-    spec_from_dict,
 )
-from .aco import (
-    AcoParams,
-    EmptyCandidateSetError,
-    PheromoneState,
-    RunResult,
-    construct_solution,
-    deposit,
-    evaporate,
-    heuristic_info,
-    init_pheromone,
-    roulette_select,
-    run,
-    selection_probabilities,
-)
-from .local_search import (FhcParams, InfeasibleStartError, fhc, improve,
-                           random_feasible, sweep_improve)
+from .aco import AcoParams, run
+from .local_search import FhcParams
 from .baselines import (
     GraspParams,
     SaParams,
     TooLargeError,
     exact,
-    expected_sa_attempts,
-    grasp,
-    grasp_construct,
-    lundy_mees,
-    sa,
 )
 from .bench import (
-    ALGORITHMS,
     BenchConfig,
     ConfigError,
     FileSource,
     GenSource,
-    RunRecord,
-    default_params,
     parse_bench_config,
     run_bench,
     solve_one,
     verify_dump,
-    write_csv,
-    write_markdown,
 )
-from . import rng
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
     "AcoParams",
     "BenchConfig",
     "ConfigError",
     "CoverTracker",
-    "Customer",
-    "DependencyGraph",
-    "EmptyCandidateSetError",
     "FhcParams",
     "FileSource",
     "GenSource",
     "GenSpec",
     "GraspParams",
     "Instance",
-    "InfeasibleStartError",
     "InvalidInstanceError",
     "LevelSpec",
     "ParseError",
-    "PheromoneState",
-    "Requirement",
-    "RunRecord",
-    "RunResult",
     "SaParams",
     "Solution",
     "TooLargeError",
-    "ValidationIssue",
     "budget",
     "builtin_names",
     "builtin_spec",
     "closure",
-    "construct_solution",
-    "default_params",
-    "deposit",
     "evaluate",
-    "evaporate",
     "exact",
-    "expected_sa_attempts",
-    "fhc",
     "generate",
-    "grasp",
-    "grasp_construct",
-    "heuristic_info",
-    "improve",
-    "init_pheromone",
-    "lundy_mees",
     "make_instance",
-    "marginal_cost",
     "parse_bench_config",
-    "random_feasible",
     "read_instance",
     "read_instance_file",
-    "rng",
-    "roulette_select",
     "run",
     "run_bench",
-    "sa",
-    "selection_probabilities",
-    "sweep_improve",
     "solve_one",
-    "spec_from_dict",
     "validate",
     "verify_dump",
-    "write_csv",
     "write_instance",
     "write_instance_file",
-    "write_markdown",
 ]

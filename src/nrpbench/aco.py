@@ -120,10 +120,10 @@ def roulette_select(probabilities: np.ndarray, r: float) -> int:
     last entry with positive probability is returned then.
 
     One running sum over the whole vector finds the answer: adding an
-    exact zero leaves a sequential ``cumsum`` unchanged, so when the first
-    entry whose sum reaches r is positive, the sum over the positive
-    entries alone picks it too.  When it is zero (r = 0 on leading zeros,
-    or r above the rounded total), that sum decides.
+    exact zero leaves a sequential ``cumsum`` unchanged, so it picks what
+    the sum over the positive entries alone picks.  The first entry to
+    reach r can be zero only at position 0 with r <= 0, where the answer
+    is the first positive entry; past the end it is the last one.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     k = int(p.cumsum().searchsorted(r, side="left"))
@@ -132,11 +132,7 @@ def roulette_select(probabilities: np.ndarray, r: float) -> int:
     positive = (p > 0).nonzero()[0]
     if positive.size == 0:
         raise ValueError("no positive-probability candidate")
-    cum = p[positive].cumsum()
-    k = int(cum.searchsorted(r, side="left"))
-    if k >= positive.size:
-        k = positive.size - 1
-    return int(positive[k]) + 1
+    return int(positive[0] if k < p.size else positive[-1]) + 1
 
 
 def construct_solution(

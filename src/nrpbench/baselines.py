@@ -214,19 +214,6 @@ def _frozen(cover: CoverTracker, budget: int, profits: np.ndarray, temp: float) 
     return not cover.selected.any() or profits[cover.selected].min() >= 750.0 * temp
 
 
-def expected_sa_attempts(params: SaParams, initial_temp: float | None = None) -> int:
-    """Rough move-attempt count implied by the cooling parameters.
-
-    This is the schedule's full length, so it bounds the attempts
-    :func:`sa` makes: a frozen chain stops before its schedule ends.
-    """
-    t0 = initial_temp if initial_temp is not None else params.initial_temp
-    if t0 is None:
-        t0 = 1.0
-    steps = max(0.0, (1.0 / params.final_temp - 1.0 / t0) / params.lm_beta)
-    return int(math.ceil(steps)) * params.moves_per_temp
-
-
 def exact(instance: Instance, budget: int) -> Solution:
     """Optimal solution by depth-first subset enumeration on one :class:`CoverTracker`.
 

@@ -4,8 +4,9 @@ Configs are INI files: a ``[bench]`` section lists instance sources,
 ratios, seeds, and algorithms; an optional section per algorithm sets
 fields of its params class (see the solver registry), and any other
 section is an error.  Every cell is an independent job, so the matrix can
-run across processes; results are sorted afterwards and the output never
-depends on scheduling.  Wall time is measured around the solver call only.
+run across processes; cells are sorted before they run and results come
+back in that order, so the output never depends on scheduling.  Wall time
+is measured around the solver call only.
 
 Output: a fixed-schema CSV (instance, ratio, algorithm, seed, profit,
 cost, budget, time_s, extra) plus a markdown table with one row per
@@ -176,8 +177,29 @@ class BenchConfig:
     jobs: int = 1
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
+
+
+def _check_matrix(sources, ratios) -> None:
+    """Raise ConfigError unless each ratio is a decimal in (0, 1] and no two
+    sources share a name: names and ratios key the result rows and name the
+    dump files."""
+    for r in ratios:
+        if "/" in str(r):
+            raise ConfigError(f"ratio {r!r} must be a decimal number, such as 0.5")
+        try:
+            frac = Fraction(r)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"cannot parse ratio {r!r}") from None
+        if not 0 < frac <= 1:
+            raise ConfigError(f"ratio {r} outside (0, 1]")
+    seen = set()
+    for src in sources:
+        if src.name in seen:
+            raise ConfigError(f"two instance sources are named {src.name!r}; "
+                              "their rows and dump files would mix")
+        seen.add(src.name)
 
 
 def _section_params(algo: str, section) -> object:
@@ -222,13 +244,7 @@ def parse_bench_config(path) -> BenchConfig:
         raise ConfigError("config lists no instances (generate/files)")
 
     ratios = b.get("ratios", "0.3 0.5 0.7").split()
-    for r in ratios:
-        try:
-            frac = Fraction(r)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"cannot parse ratio {r!r}") from None
-        if not 0 < frac <= 1:
-            raise ConfigError(f"ratio {r} outside (0, 1]")
+    _check_matrix(sources, ratios)
     try:
         seeds = [int(s) for s in b.get("seeds", "1").split()]
     except ValueError:
@@ -304,17 +320,21 @@ def _run_cell(args) -> tuple[RunRecord, dict | None]:
 def run_bench(config: BenchConfig) -> list[RunRecord]:
     """Run the whole matrix and write CSV/markdown/dumps if configured.
 
-    ``config.jobs`` below 1 raises ``ValueError``.
+    Before any cell runs, ``config.jobs`` below 1, a ratio that is no decimal
+    in (0, 1] and two sources with one name raise ``ValueError``.  Instances
+    are loaded afresh for each call.
     """
     if config.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {config.jobs}")
-    cells = [
-        (src, ratio, algo, seed, config.params.get(algo), config.dump_dir is not None)
-        for src in config.sources
-        for ratio in config.ratios
-        for algo in config.algorithms
-        for seed in config.seeds
-    ]
+    _check_matrix(config.sources, config.ratios)
+    _instance_cache.clear()  # a file may have changed since an earlier run
+    cells = sorted(
+        ((src, ratio, algo, seed, config.params.get(algo), config.dump_dir is not None)
+         for src in config.sources
+         for ratio in config.ratios
+         for algo in config.algorithms
+         for seed in config.seeds),
+        key=lambda c: (c[0].name, Fraction(c[1]), c[2], c[3]))
     # a fork pool starts all its workers at the first submit: no more than there are cells
     workers = min(config.jobs, len(cells))
     if workers > 1:
@@ -324,17 +344,10 @@ def run_bench(config: BenchConfig) -> list[RunRecord]:
         outcomes = [_run_cell(c) for c in cells]
 
     records = [rec for rec, _ in outcomes]
-    order = sorted(range(len(records)),
-                   key=lambda i: (records[i].instance_name,
-                                  Fraction(records[i].budget_ratio),
-                                  records[i].algorithm, records[i].seed))
-    records = [records[i] for i in order]
-    dumps = [outcomes[i][1] for i in order]
-
     if config.dump_dir:
         dump_dir = Path(config.dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        for d in dumps:
+        for _, d in outcomes:
             if d is None:
                 continue
             fname = f"{d['instance']}_{d['ratio']}_{d['algorithm']}_{d['seed']}.json"

@@ -16,9 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 import bruteforce as bf
-from nrpbench import (AcoParams, FhcParams, GraspParams, PheromoneState,
-                      SaParams, budget, builtin_spec, fhc, generate, rng, run,
-                      selection_probabilities, solve_one, validate)
+from nrpbench import (AcoParams, FhcParams, GraspParams, SaParams, budget, builtin_spec,
+                      generate, rng, run, solve_one, validate)
+from nrpbench.aco import PheromoneState, selection_probabilities
+from nrpbench.local_search import fhc
 
 RATIOS = ("0.3", "0.5", "0.7")
 HEURISTICS = ("haco", "aco", "fhc", "grasp", "sa")

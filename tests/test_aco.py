@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
-from nrpbench import (AcoParams, CoverTracker, EmptyCandidateSetError, PheromoneState,
-                      budget, builtin_spec, construct_solution, deposit, evaporate,
-                      generate, heuristic_info, init_pheromone, make_instance, rng,
-                      roulette_select, selection_probabilities, solve_one)
-from nrpbench.aco import run
+from nrpbench import (AcoParams, CoverTracker, budget, builtin_spec, generate, make_instance,
+                      rng, solve_one)
+from nrpbench.aco import (EmptyCandidateSetError, PheromoneState, construct_solution, deposit,
+                          evaporate, heuristic_info, init_pheromone, roulette_select, run,
+                          selection_probabilities)
 
 
 def test_init_pheromone(toy):

@@ -6,9 +6,10 @@ import pytest
 
 import bruteforce as bf
 from nrpbench import (CoverTracker, GraspParams, SaParams, TooLargeError, budget,
-                      builtin_spec, exact, expected_sa_attempts, generate, grasp,
-                      grasp_construct, lundy_mees, make_instance, random_feasible, rng, sa)
-from nrpbench.baselines import _calibrate_temp, _frozen
+                      builtin_spec, exact, generate, make_instance, rng)
+from nrpbench.baselines import (_calibrate_temp, _frozen, grasp, grasp_construct, lundy_mees,
+                                sa)
+from nrpbench.local_search import random_feasible
 
 FAST_SA = SaParams(lm_beta=0.05)
 # stays warm enough to accept drops for all of its ~5000 attempts
@@ -130,19 +131,22 @@ def test_lundy_mees_step():
         t = nxt
 
 
-def test_expected_sa_attempts():
-    p = SaParams(lm_beta=0.05, initial_temp=1.0, final_temp=1e-4)
-    assert expected_sa_attempts(p) == math.ceil((1e4 - 1.0) / 0.05)
-    doubled = SaParams(lm_beta=0.05, initial_temp=1.0, final_temp=1e-4,
-                       moves_per_temp=2)
-    assert expected_sa_attempts(doubled) == 2 * expected_sa_attempts(p)
+def test_sa_defaults_finish(monkeypatch):
+    # whatever start temperature calibration picks, a chain with the default
+    # schedule makes at most 1 / (final_temp * lm_beta) = 200 000 attempts
+    steps = []
 
+    def counted(temp, lm_beta):
+        steps.append(temp)
+        return lundy_mees(temp, lm_beta)
 
-def test_sa_defaults_finish():
-    # whatever start temperature calibration picks, the default schedule
-    # stops after at most 1 / (final_temp * lm_beta) attempts
-    for t0 in (1.0, 20.0, 1e9):
-        assert expected_sa_attempts(SaParams(), t0) <= 200_000
+    monkeypatch.setattr(importlib.import_module("nrpbench.baselines"), "lundy_mees", counted)
+    inst = generate(builtin_spec("NRP-1"), 1)
+    for t0 in (None, 1.0, 20.0, 1e9):
+        params = SaParams(initial_temp=t0)
+        steps.clear()
+        sa(inst, budget(inst, "0.5"), params, seed=1)
+        assert 0 < len(steps) * params.moves_per_temp <= 200_000
 
 
 def test_sa_deterministic(toy):

@@ -5,9 +5,10 @@ import pytest
 
 from nrpbench import (AcoParams, BenchConfig, ConfigError, FhcParams,
                       FileSource, GenSource, GraspParams, SaParams, budget,
-                      builtin_spec, default_params, evaluate, generate, make_instance,
+                      builtin_spec, evaluate, generate, make_instance,
                       parse_bench_config, run, run_bench, solve_one, verify_dump,
                       write_instance_file)
+from nrpbench.bench import default_params
 
 TOY_ARGS = ([5, 3, 4, 2], [(1, 2), (3, 4)], [(10, [2]), (8, [3]), (6, [4])])
 
@@ -156,6 +157,12 @@ def test_parse_config_errors(tmp_path):
         # seeds the random streams refuse, which once failed every cell instead
         "negseed.ini": "[bench]\ngenerate = NRP-1@1\nseeds = 1 -1\n",
         "neggenseed.ini": "[bench]\ngenerate = NRP-1@-2\n",
+        # a ratio that would put a "/" in the dump file names
+        "fracratio.ini": "[bench]\ngenerate = NRP-1@1\nratios = 1/2\n",
+        # sources whose rows and dump files would mix under one name
+        "samestem.ini": "[bench]\nfiles = a/x.txt b/x.txt\n",
+        "genfile.ini": "[bench]\ngenerate = NRP-1@1\nfiles = NRP-1-s1.txt\n",
+        "twice.ini": "[bench]\ngenerate = NRP-1@1 NRP-1@1\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -280,6 +287,28 @@ def test_run_bench_refuses_fewer_than_one_job(toy_file, tmp_path, jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         run_bench(config)
     assert not (tmp_path / "out").exists() and not (tmp_path / "dumps").exists()
+
+
+def test_run_bench_refuses_ambiguous_outputs(toy, toy_file, tmp_path):
+    # refused before any cell runs, so nothing is written
+    other = tmp_path / "b" / "toy.txt"
+    other.parent.mkdir()
+    write_instance_file(toy, other)
+    for change in ({"sources": [FileSource(str(toy_file)), FileSource(str(other))]},
+                   {"sources": [FileSource(str(toy_file))] * 2},
+                   {"ratios": ["0.5", "1/2"]}):
+        with pytest.raises(ValueError):
+            run_bench(_toy_config(toy_file, tmp_path, **change))
+        assert not (tmp_path / "out").exists() and not (tmp_path / "dumps").exists()
+
+
+def test_run_bench_reloads_changed_files(toy_file, tmp_path):
+    # a second run in the same process reads the file as it is now
+    config = _toy_config(toy_file, tmp_path, ratios=["1.0"], seeds=[1],
+                         algorithms=["exact"], out=None, dump_dir=None)
+    assert [r.profit for r in run_bench(config)] == [24]
+    write_instance_file(make_instance(*TOY_ARGS[:2], [(1, [2]), (2, [3]), (3, [4])]), toy_file)
+    assert [r.profit for r in run_bench(config)] == [6]
 
 
 def test_run_bench_generated_source(tmp_path):

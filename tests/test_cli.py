@@ -13,8 +13,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nrpbench import (ALGORITHMS, ConfigError, cli, default_params, make_instance,
-                      parse_bench_config, read_instance, write_instance_file)
+from nrpbench import (ConfigError, cli, make_instance, parse_bench_config, read_instance,
+                      write_instance_file)
+from nrpbench.bench import ALGORITHMS, default_params
 
 
 # a CLI call that runs longer fails its test with TimeoutExpired instead of
@@ -276,6 +277,14 @@ def test_bench_config_errors(tmp_path):
         rc, _, err = run_cli("bench", cfg)
         assert rc == 1 and err.startswith("config error:") and "negative" in err
         assert not (tmp_path / "r.csv").exists()
+    # so are a fractional ratio and two sources with one name
+    for body, phrase in (("generate = NRP-1@1\nratios = 1/2", "decimal"),
+                         ("files = a/x.txt b/x.txt", "named 'x'"),
+                         ("generate = NRP-1@1\nfiles = NRP-1-s1.txt", "named 'NRP-1-s1'")):
+        cfg.write_text(f"[bench]\n{body}\nalgorithms = fhc\nout = r\ndump = d\n")
+        rc, _, err = run_cli("bench", cfg)
+        assert rc == 1 and err.startswith("config error:") and phrase in err, err
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "d").exists()
 
 
 def test_bench_jobs_flag_overrides(toy_file, tmp_path):

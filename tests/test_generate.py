@@ -1,7 +1,7 @@
 import pytest
 
-from nrpbench import (GenSpec, LevelSpec, builtin_names, builtin_spec,
-                      generate, spec_from_dict, validate)
+from nrpbench import GenSpec, LevelSpec, builtin_names, builtin_spec, generate, validate
+from nrpbench.generate import spec_from_dict
 
 EXPECTED_SIZES = {
     "NRP-1": (140, 100),

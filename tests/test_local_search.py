@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
-from nrpbench import (AcoParams, CoverTracker, FhcParams, InfeasibleStartError, Solution,
-                      budget, builtin_spec, construct_solution, evaluate, fhc, generate,
-                      heuristic_info, improve, init_pheromone, random_feasible, rng,
-                      solve_one, sweep_improve)
+from nrpbench import (AcoParams, CoverTracker, FhcParams, Solution, budget, builtin_spec,
+                      evaluate, generate, rng, solve_one)
 from nrpbench import local_search
+from nrpbench.aco import construct_solution, heuristic_info, init_pheromone
+from nrpbench.local_search import (InfeasibleStartError, fhc, improve, random_feasible,
+                                   sweep_improve)
 from nrpbench.model import _closure_entries
 
 

@@ -5,7 +5,8 @@ import pytest
 
 import bruteforce as bf
 from nrpbench import (CoverTracker, InvalidInstanceError, budget, builtin_spec, closure,
-                      evaluate, generate, make_instance, marginal_cost, rng, validate)
+                      evaluate, generate, make_instance, rng, validate)
+from nrpbench.model import marginal_cost
 
 
 def test_validate_ok(toy):

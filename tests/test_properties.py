@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, FhcParams, GraspParams, SaParams,
-                      closure, evaluate, make_instance, marginal_cost, random_feasible,
-                      read_instance, roulette_select, rng, solve_one, sweep_improve,
+                      closure, evaluate, make_instance, read_instance, rng, solve_one,
                       write_instance)
+from nrpbench.aco import roulette_select
 from nrpbench.baselines import _top_k
-from nrpbench.local_search import _may_swap
+from nrpbench.local_search import _may_swap, random_feasible, sweep_improve
+from nrpbench.model import marginal_cost
 
 # derandomized: the tier-1 suite gives the same verdict on every run
 FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None)
