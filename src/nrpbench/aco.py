@@ -155,7 +155,7 @@ def construct_solution(
         weights = np.ones(instance.n_customers, dtype=np.float64)
 
     def choose(cover, cand):
-        return int(cand[roulette_select(_normalise(weights[cand]), gen.random()) - 1])
+        return roulette_select(_normalise(weights[cand]), gen.random()) - 1
 
     return _construct(instance, budget, choose)
 

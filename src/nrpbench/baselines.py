@@ -89,7 +89,7 @@ def grasp_construct(
 
     def choose(cover, cand):
         score = profits[cand] / np.maximum(1.0, cover.marginal[cand])
-        rcl = cand[_top_k(-score, rcl_length)]
+        rcl = _top_k(-score, rcl_length)
         return int(rcl[int(gen.integers(0, rcl.size))])
 
     return _construct(instance, budget, choose)

@@ -181,10 +181,11 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_matrix(sources, ratios) -> None:
-    """Raise ConfigError unless each ratio is a decimal in (0, 1] and no two
-    sources share a name: names and ratios key the result rows and name the
-    dump files."""
+def _check_matrix(sources, ratios, seeds, algorithms) -> None:
+    """Raise ConfigError unless each ratio is a decimal in (0, 1] and no
+    source name, ratio (as a fraction), seed or algorithm is listed twice:
+    names and ratios key the result rows and name the dump files, and a
+    repeated value would run its cells twice."""
     for r in ratios:
         if "/" in str(r):
             raise ConfigError(f"ratio {r!r} must be a decimal number, such as 0.5")
@@ -200,6 +201,11 @@ def _check_matrix(sources, ratios) -> None:
             raise ConfigError(f"two instance sources are named {src.name!r}; "
                               "their rows and dump files would mix")
         seen.add(src.name)
+    for what, values, keys in (("ratio", ratios, [Fraction(r) for r in ratios]),
+                               ("seed", seeds, seeds), ("algorithm", algorithms, algorithms)):
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ConfigError(f"{what} {values[i]!r} is listed twice")
 
 
 def _section_params(algo: str, section) -> object:
@@ -244,7 +250,6 @@ def parse_bench_config(path) -> BenchConfig:
         raise ConfigError("config lists no instances (generate/files)")
 
     ratios = b.get("ratios", "0.3 0.5 0.7").split()
-    _check_matrix(sources, ratios)
     try:
         seeds = [int(s) for s in b.get("seeds", "1").split()]
     except ValueError:
@@ -259,6 +264,7 @@ def parse_bench_config(path) -> BenchConfig:
             raise ConfigError(f"unknown algorithm {a!r}; valid: {', '.join(ALGORITHMS)}")
     if not ratios or not seeds or not algorithms:
         raise ConfigError("config needs at least one ratio, seed, and algorithm")
+    _check_matrix(sources, ratios, seeds, algorithms)
 
     # unlisted sections are parsed too, so a bad value shows before its algorithm is listed
     params = {a: _section_params(a, cfg[a] if a in cfg else {}) for a in algorithms + sections}
@@ -321,12 +327,13 @@ def run_bench(config: BenchConfig) -> list[RunRecord]:
     """Run the whole matrix and write CSV/markdown/dumps if configured.
 
     Before any cell runs, ``config.jobs`` below 1, a ratio that is no decimal
-    in (0, 1] and two sources with one name raise ``ValueError``.  Instances
-    are loaded afresh for each call.
+    in (0, 1], two sources with one name and a ratio, seed or algorithm
+    listed twice raise ``ValueError``.  Instances are loaded afresh for
+    each call.
     """
     if config.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {config.jobs}")
-    _check_matrix(config.sources, config.ratios)
+    _check_matrix(config.sources, config.ratios, config.seeds, config.algorithms)
     _instance_cache.clear()  # a file may have changed since an earlier run
     cells = sorted(
         ((src, ratio, algo, seed, config.params.get(algo), config.dump_dir is not None)

@@ -19,10 +19,13 @@ views) and its transpose (each requirement's customers); a
 :class:`Customer` keeps only what the instance file gives.
 :class:`CoverTracker` is the one mutable cover state the solvers share:
 a selection's mask, per-requirement counts, union cost and every
-customer's marginal add cost, kept up to date move by move.  The
-constructions, both climbs and the annealer's chain all flip customers
-through it, and :meth:`CoverTracker.solution` reads its result from that
-state.  :func:`evaluate` works a selection out from scratch and is the
+customer's marginal add cost, kept up to date move by move.  A flip
+reads and writes single entries through memoryviews of the tracker's own
+count and marginal arrays, which are never rebound, so the numpy code
+reading them sees each flip with no copy or sync step.  The
+constructions, both climbs, the annealer's chain and the exact DFS all
+flip customers through it, and :meth:`CoverTracker.solution` reads its
+result from that state.  :func:`evaluate` works a selection out from scratch and is the
 independent check of the tracker.  Both read only these lists: no solver
 path builds a dense customer x requirement array or calls BLAS.
 """
@@ -133,6 +136,7 @@ class Instance:
             entries.extend(sorted(r - 1 for r in _prerequisite_closure(parents, reqs)))
             ptr.append(len(entries))
 
+        self._cost = costs
         self._cost_vec = np.asarray(costs, dtype=np.int64)
         self._cost_f64 = self._cost_vec.astype(np.float64)
         self._profit_vec = np.asarray([w for w, _reqs in raw_customers], dtype=np.int64)
@@ -141,11 +145,11 @@ class Instance:
         self._closure_idx = tuple(self._csr_req[a:b] for a, b in zip(ptr, ptr[1:]))
         # the customer of every closure entry
         self._csr_row = np.repeat(np.arange(len(raw_customers)), np.diff(ptr))
-        # the transpose: requirement r's customers, sorted, as views of one array
-        # (a stable sort keeps each requirement's entries in customer order)
-        by_req = self._csr_row[np.argsort(self._csr_req, kind="stable")]
-        req_ptr = np.concatenate(([0], np.cumsum(np.bincount(self._csr_req, minlength=n))))
-        self._needed_by = tuple(by_req[a:b] for a, b in zip(req_ptr[:-1], req_ptr[1:]))
+        # the transpose: requirement r's customers, sorted, as Python lists for
+        # CoverTracker's scalar walk (a stable sort keeps customer order)
+        by_req = self._csr_row[np.argsort(self._csr_req, kind="stable")].tolist()
+        req_ptr = np.cumsum(np.bincount(self._csr_req, minlength=n)).tolist()
+        self._needed_by = tuple(by_req[a:b] for a, b in zip([0] + req_ptr, req_ptr))
         self._closure_cost_vec = np.bincount(self._csr_row, weights=self._cost_vec[self._csr_req],
                                              minlength=len(raw_customers)).astype(np.int64)
 
@@ -369,11 +373,14 @@ class CoverTracker:
     State: the ``selected`` mask, ``counts`` (how many selected customers
     need each requirement), the union ``cost``, and ``marginal``, every
     customer's add cost against the current cover (zero when selected).
-    ``add`` and ``drop`` walk the requirements whose coverage changes and,
-    for each, the customers that need it, so their time is proportional to
-    those lists; ``swap_costs`` prices 1-swaps.  Everything is read from
-    the closure's index lists; marginals are integers held in float64, so
-    every comparison is exact.
+    ``add`` and ``drop`` walk the flipped customer's requirements and, for
+    each whose coverage changes, the customers that need it, with Python
+    scalar reads and writes through memoryviews of ``counts`` and
+    ``marginal``: a flip touches a few dozen entries, too few to pay for
+    numpy calls.  The views share the arrays' memory and the arrays are
+    never rebound, so there is one state.  ``swap_costs`` prices 1-swaps.
+    Everything is read from the closure's index lists; marginals are
+    integers held in float64, so every comparison is exact.
 
     Pricing reads each requirement's *owner sum*: the sum of the 0-based
     ids of the selected customers that need it, which is the owner itself
@@ -391,7 +398,7 @@ class CoverTracker:
         self._inst = instance
         self._idx = instance.closure_indices
         self._needed_by = instance._needed_by
-        self._reqs = instance.requirements
+        self._cost = instance._cost
         self._cost_f = instance._cost_f64
         ids = np.fromiter(start, dtype=np.intp)
         bad = (ids < 1) | (ids > instance.n_customers)
@@ -405,6 +412,7 @@ class CoverTracker:
         # a customer's marginal is the cost of its uncovered requirements
         uncovered = self._cost_f * (self.counts == 0)
         self.marginal = np.bincount(row, weights=uncovered[req], minlength=instance.n_customers)
+        self._counts_v, self._marginal_v = memoryview(self.counts), memoryview(self.marginal)
         # per requirement, the selected customers' summed ids; None until the first pricing
         self._owner_sum = None
         # (owner, freed) of the current selection, until the next flip
@@ -420,18 +428,20 @@ class CoverTracker:
 
     def _flip(self, index: int, step: int) -> None:
         idx = self._idx[index]
-        counts = self.counts[idx]
-        self.counts[idx] = counts + step
         self.selected[index] = step > 0
         if self._owner_sum is not None:
             self._owner_sum[idx] += step * index
             self._owned = None
-        # the requirements whose coverage changes: uncovered before an add,
-        # singly covered before a drop; customer ``index`` needs each of them
-        for r in idx[counts == (0 if step > 0 else 1)].tolist():
-            c = step * self._reqs[r].cost
-            self.cost += c
-            self.marginal[self._needed_by[r]] -= c
+        counts, marginal, cost = self._counts_v, self._marginal_v, self._cost
+        edge = 0 if step > 0 else 1  # uncovered before an add, singly covered before a drop
+        for r in idx.tolist():
+            k = counts[r]
+            counts[r] = k + step
+            if k == edge:  # r's coverage changes: customers needing it gain or lose its cost
+                c = step * cost[r]
+                self.cost += c
+                for j in self._needed_by[r]:
+                    marginal[j] -= c
 
     def affordable(self, budget: int) -> np.ndarray:
         """0-based ids of the unselected customers that fit within budget."""
@@ -508,14 +518,20 @@ def _closure_entries(instance: Instance, customers) -> tuple[np.ndarray, np.ndar
 
 
 def _construct(instance: Instance, budget: int, choose) -> Solution:
-    """Greedy fill: add ``choose(cover, candidates)`` until nothing affordable is left.
+    """Greedy fill: add ``cand[choose(cover, cand)]`` until no candidate is left.
 
-    ``candidates`` are the 0-based ids :meth:`CoverTracker.affordable`
-    returns; ``choose`` picks one of them.
+    ``cand`` holds the 0-based ids :meth:`CoverTracker.affordable` would
+    return, and ``choose`` returns a position in it.  The list is worked
+    out once and then only filtered: ``cost + marginal[j]`` is the union
+    cost with j added, which no add lowers, so a customer that stops
+    fitting never fits again within one fill.
     """
     cover = CoverTracker(instance)
-    while True:
-        cand = cover.affordable(budget)
-        if cand.size == 0:
-            return cover.solution()
-        cover.add(choose(cover, cand))
+    cand = cover.affordable(budget)
+    while cand.size:
+        k = choose(cover, cand)
+        cover.add(int(cand[k]))
+        keep = cover.marginal[cand] <= budget - cover.cost
+        keep[k] = False
+        cand = cand[keep]
+    return cover.solution()

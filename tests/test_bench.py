@@ -302,6 +302,20 @@ def test_run_bench_refuses_ambiguous_outputs(toy, toy_file, tmp_path):
         assert not (tmp_path / "out").exists() and not (tmp_path / "dumps").exists()
 
 
+@pytest.mark.parametrize("field, values", [("ratios", ["0.5", "0.50"]), ("seeds", [1, 1]),
+                                           ("algorithms", ["fhc", "fhc"])])
+def test_repeated_matrix_values_are_refused(toy_file, tmp_path, field, values):
+    # a value listed twice would run its cells twice; ratios compare as fractions
+    keys = {"files": toy_file, "algorithms": "fhc", field: " ".join(map(str, values))}
+    path = tmp_path / "twice.ini"
+    path.write_text("[bench]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    with pytest.raises(ConfigError, match="listed twice"):
+        parse_bench_config(path)
+    with pytest.raises(ValueError, match="listed twice"):
+        run_bench(_toy_config(toy_file, tmp_path, **{field: values}))
+    assert not (tmp_path / "out").exists() and not (tmp_path / "dumps").exists()
+
+
 def test_run_bench_reloads_changed_files(toy_file, tmp_path):
     # a second run in the same process reads the file as it is now
     config = _toy_config(toy_file, tmp_path, ratios=["1.0"], seeds=[1],

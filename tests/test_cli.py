@@ -277,8 +277,9 @@ def test_bench_config_errors(tmp_path):
         rc, _, err = run_cli("bench", cfg)
         assert rc == 1 and err.startswith("config error:") and "negative" in err
         assert not (tmp_path / "r.csv").exists()
-    # so are a fractional ratio and two sources with one name
+    # so are a fractional ratio, two sources with one name and a value listed twice
     for body, phrase in (("generate = NRP-1@1\nratios = 1/2", "decimal"),
+                         ("generate = NRP-1@1\nratios = 0.5 0.50", "listed twice"),
                          ("files = a/x.txt b/x.txt", "named 'x'"),
                          ("generate = NRP-1@1\nfiles = NRP-1-s1.txt", "named 'NRP-1-s1'")):
         cfg.write_text(f"[bench]\n{body}\nalgorithms = fhc\nout = r\ndump = d\n")

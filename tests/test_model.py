@@ -1,11 +1,15 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bruteforce as bf
-from nrpbench import (CoverTracker, InvalidInstanceError, budget, builtin_spec, closure,
-                      evaluate, generate, make_instance, rng, validate)
+from nrpbench import (AcoParams, CoverTracker, InvalidInstanceError, aco, baselines, budget,
+                      builtin_spec, closure, evaluate, generate, make_instance, model, rng,
+                      validate)
+from nrpbench.aco import construct_solution, heuristic_info, init_pheromone
+from nrpbench.baselines import grasp_construct
 from nrpbench.model import marginal_cost
 
 
@@ -178,6 +182,37 @@ def test_cover_tracker_rejects_bad_ids(toy):
             with pytest.raises(ValueError, match=f"customer id {bad[-1]} out of range 1..3"):
                 build(toy, bad)
     assert CoverTracker(toy, [3, 1]).selected.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("solver", ["aco", "grasp"])
+def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypatch):
+    # _construct filters its candidate list after each add instead of asking
+    # the tracker again, which is exact only because no add lowers cost + marginal
+    steps = []
+
+    def checked(instance, bud, choose):
+        def spy(cover, cand):
+            assert np.array_equal(cand, cover.affordable(bud))
+            steps.append(cand.size)
+            return choose(cover, cand)
+
+        sol = model._construct(instance, bud, spy)
+        assert CoverTracker(instance, sol.selected).affordable(bud).size == 0
+        return sol
+
+    monkeypatch.setattr(aco if solver == "aco" else baselines, "_construct", checked)
+    for family in ("NRP-1", "NRP-2", "NRP-3"):
+        inst = generate(builtin_spec(family), 1)
+        state, eta = init_pheromone(inst), heuristic_info(inst)
+        for ratio in ("0.3", "0.5", "0.7"):
+            bud = budget(inst, ratio)
+            for s in (1, 2):
+                if solver == "aco":
+                    construct_solution(inst, bud, state, eta, AcoParams(),
+                                       rng.substream(s, rng.ANT, 1, 1))
+                else:
+                    grasp_construct(inst, bud, 10, rng.substream(s, rng.GRASP_RESTART, 1))
+    assert len(steps) > 100
 
 
 def test_evaluate_is_pure(toy):

@@ -83,6 +83,32 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
                     assert cost == evaluate(inst, chosen - {l} | {j}).cost
 
 
+@FAST
+@given(instances(), st.lists(st.integers(0, 6), max_size=16), st.integers(0, 16))
+def test_cover_tracker_flips_match_a_fresh_tracker(inst, toggles, priced_at):
+    # adds and drops in any order; freed() is read before flip number
+    # ``priced_at``, so every later flip also keeps the owner sums
+    cover = CoverTracker(inst)
+    counts, marginal = cover.counts, cover.marginal
+    for step, t in enumerate(toggles):
+        if inst.n_customers == 0:
+            break
+        if step == priced_at:
+            cover.freed()
+        i = t % inst.n_customers
+        (cover.drop if cover.selected[i] else cover.add)(i)
+        fresh = CoverTracker(inst, (cover.selected.nonzero()[0] + 1).tolist())
+        # the flips write into the arrays the tracker was built with
+        assert cover.counts is counts and cover.marginal is marginal
+        assert (cover.selected == fresh.selected).all()
+        assert (cover.counts == fresh.counts).all()
+        assert (cover.marginal == fresh.marginal).all()
+        assert type(cover.cost) is int and cover.cost == fresh.cost
+        if step >= priced_at:
+            for got, want in zip(cover._owners(), fresh._owners()):
+                assert (got == want).all()
+
+
 SOLVERS = (("haco", AcoParams(iterations=2, ants=2)),
            ("aco", AcoParams(iterations=2, ants=2, use_local_search=False)),
            ("fhc", FhcParams(restarts=3)), ("grasp", GraspParams(restarts=3)),
