@@ -8,8 +8,8 @@ into the next, and costs grow with depth.  Generation is a pure
 function of (recipe, seed).
 """
 
-from nrpbench import (builtin_names, builtin_spec, generate, read_instance,
-                      validate, write_instance)
+from nrpbench import (InvalidInstanceError, builtin_names, builtin_spec, generate,
+                      make_instance, read_instance, write_instance)
 
 print("built-in families:", ", ".join(builtin_names()))
 for name in builtin_names():
@@ -22,7 +22,6 @@ for name in builtin_names():
 inst = generate(builtin_spec("NRP-1"), seed=42)
 print()
 print("NRP-1 seed 42 ->", inst)
-print("validation issues:", validate(inst))
 print("level sizes:", inst.level_sizes)
 print("first level costs:", [r.cost for r in inst.requirements[:20]])
 print("a customer:", inst.customers[0])
@@ -39,3 +38,14 @@ print("seed 43 differs:", write_instance(inst) != write_instance(other))
 back = read_instance(write_instance(inst))
 print("round-trip preserves the instance:",
       write_instance(back) == write_instance(inst))
+
+# Every instance that exists is valid: malformed data (here a two-node
+# dependency cycle, a zero cost and a request for a requirement that does
+# not exist) is refused when the instance is built, with every issue listed.
+try:
+    make_instance([0, 3], [(1, 2), (2, 1)], [(10, [2]), (5, [7])])
+except InvalidInstanceError as err:
+    print()
+    print("refused:", len(err.issues), "issues")
+    for issue in err.issues:
+        print("  ", issue)

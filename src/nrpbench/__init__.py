@@ -21,7 +21,6 @@ from .model import (
     closure,
     evaluate,
     make_instance,
-    validate,
 )
 from .fileformat import (
     ParseError,
@@ -89,7 +88,6 @@ __all__ = [
     "run",
     "run_bench",
     "solve_one",
-    "validate",
     "verify_dump",
     "write_instance",
     "write_instance_file",

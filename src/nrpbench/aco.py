@@ -25,10 +25,6 @@ from .local_search import sweep_improve
 from .model import Instance, Solution, _construct, evaluate
 
 
-class EmptyCandidateSetError(Exception):
-    """Selection probabilities were requested for an empty candidate set."""
-
-
 @dataclass
 class AcoParams:
     alpha: float = field(default=1.1, metadata={"help": "pheromone exponent"})
@@ -67,7 +63,6 @@ class RunResult:
 
 def init_pheromone(instance: Instance) -> PheromoneState:
     """Start every trail at theta * profit with theta = 1 / max profit (1 without customers)."""
-    instance.require_valid()
     theta = 1.0 / float(instance.profit_vector.max(initial=1))
     return PheromoneState(tau=theta * instance.profit_vector.astype(np.float64), theta=theta)
 
@@ -78,37 +73,21 @@ def heuristic_info(instance: Instance) -> np.ndarray:
     A customer with an empty closure is free profit; the guard keeps its
     ratio finite, as GRASP's score does.
     """
-    instance.require_valid()
     return instance.profit_vector / np.maximum(1.0, instance.closure_cost_vector)
 
 
-def _normalise(weights: np.ndarray) -> np.ndarray:
-    """Weights scaled to sum to 1; uniform when their total is zero or not finite."""
-    total = weights.sum()
-    if 0 < total < np.inf:
-        return weights / total
-    # degenerate trail (e.g. fully evaporated): fall back to uniform
-    return np.full(weights.size, 1.0 / weights.size)
+def selection_probabilities(weights: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The random proportional rule over the candidates ``cand`` (0-based ids).
 
-
-def selection_probabilities(
-    state: PheromoneState,
-    eta: np.ndarray,
-    candidates,
-    alpha: float,
-    beta: float,
-) -> np.ndarray:
-    """Random-proportional-rule probabilities, zero outside the candidate set.
-
-    ``candidates`` holds 1-based customer ids; the returned array has one
-    entry per customer.
+    Their ``weights`` (tau^alpha * eta^beta) scaled to sum to 1, in the
+    order of ``cand``; uniform when the total is zero or not finite, as
+    for a trail that has evaporated to nothing.
     """
-    cand = np.asarray(sorted(int(c) for c in candidates), dtype=np.intp)
-    if cand.size == 0:
-        raise EmptyCandidateSetError("no candidates to choose from")
-    probs = np.zeros(len(eta), dtype=np.float64)
-    probs[cand - 1] = _normalise(state.tau[cand - 1] ** alpha * eta[cand - 1] ** beta)
-    return probs
+    w = weights[cand]
+    total = w.sum()
+    if 0 < total < np.inf:
+        return w / total
+    return np.full(w.size, 1.0 / w.size)
 
 
 def roulette_select(probabilities: np.ndarray, r: float) -> int:
@@ -151,11 +130,9 @@ def construct_solution(
     so the rule's weights are computed once up front.
     """
     weights = state.tau ** params.alpha * eta ** params.beta
-    if not (np.isfinite(weights).all() and weights.sum() > 0):
-        weights = np.ones(instance.n_customers, dtype=np.float64)
 
     def choose(cover, cand):
-        return roulette_select(_normalise(weights[cand]), gen.random()) - 1
+        return roulette_select(selection_probabilities(weights, cand), gen.random()) - 1
 
     return _construct(instance, budget, choose)
 
@@ -189,7 +166,6 @@ def run(
     Ant k of iteration i draws from the stream (seed, ANT, i, k), so the
     result is the same no matter how the ants are scheduled.
     """
-    instance.require_valid()
     state = init_pheromone(instance)
     eta = heuristic_info(instance)
     best = evaluate(instance, ())

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rng
 from .local_search import improve, random_feasible
-from .model import CoverTracker, Instance, Solution, _construct, evaluate
+from .model import CoverTracker, Instance, Solution, _construct
 
 
 # the most customers :func:`exact` enumerates
@@ -110,7 +110,6 @@ def _top_k(key: np.ndarray, k: int) -> np.ndarray:
 
 def grasp(instance: Instance, budget: int, params: GraspParams, seed: int) -> Solution:
     """Best of `restarts` construct-then-improve rounds."""
-    instance.require_valid()
     best: Solution | None = None
     for i in range(1, params.restarts + 1):
         gen = rng.substream(seed, rng.GRASP_RESTART, i)
@@ -155,7 +154,6 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
     stops if it is frozen (:func:`_frozen`): from there on every attempt
     is refused, so the full schedule would return the same selection.
     """
-    instance.require_valid()
     gen = rng.substream(seed, rng.SA_CHAIN)
     m = instance.n_customers
     start = random_feasible(instance, budget, gen)
@@ -223,12 +221,11 @@ def exact(instance: Instance, budget: int) -> Solution:
     ties go to the lexicographically smallest id set.  Refuses instances
     with more than :data:`EXACT_GUARD` customers.
     """
-    instance.require_valid()
     m = instance.n_customers
     if m > EXACT_GUARD:
         raise TooLargeError(f"exact solver limited to {EXACT_GUARD} customers, instance has {m}")
 
-    profits = [c.profit for c in instance.customers]
+    profits = instance.profit_vector.tolist()
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + profits[i]
@@ -251,4 +248,4 @@ def exact(instance: Instance, budget: int) -> Solution:
         dfs(i + 1, profit)
 
     dfs(0, 0)
-    return evaluate(instance, (best_sel.nonzero()[0] + 1).tolist())
+    return CoverTracker(instance, best_sel.nonzero()[0] + 1).solution()

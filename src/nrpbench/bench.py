@@ -86,7 +86,6 @@ def _load_cached(source) -> Instance:
     inst = _instance_cache.get(source)
     if inst is None:
         inst = source.load()
-        inst.require_valid()
         _instance_cache[source] = inst
     return inst
 

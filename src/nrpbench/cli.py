@@ -143,7 +143,6 @@ def _cmd_solve(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
     inst = read_instance_file(args.instance)
-    inst.require_valid()
     bud = _parse_ratio(inst, args.budget_ratio)
     started = time.perf_counter()
     sol, _ = solve_one(inst, bud, args.algo, args.seed, params)
@@ -186,7 +185,6 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = read_instance_file(args.instance)
-    inst.require_valid()
     try:
         dump = json.loads(Path(args.dump).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:

@@ -176,7 +176,6 @@ def fhc(instance: Instance, budget: int, params: FhcParams, seed: int) -> Soluti
     Restart i draws from the stream (seed, FHC_RESTART, i); ties keep
     the earliest restart's result.
     """
-    instance.require_valid()
     best: Solution | None = None
     for i in range(1, params.restarts + 1):
         gen = rng.substream(seed, rng.FHC_RESTART, i)

@@ -9,9 +9,10 @@ subset of customers; its cost is the cost of the union of their
 closures (shared requirements counted once) and its profit is the sum
 of their profits.
 
-All ids are 1-based.  Instances are immutable after construction; the
-derived closures and the numpy views used by the solvers are computed
-once when the instance is built.
+All ids are 1-based.  An instance is valid by construction: malformed
+raw data raises :class:`InvalidInstanceError`, which lists every issue.
+Instances are immutable; the derived closures and the numpy views used
+by the solvers are computed once when the instance is built.
 
 The closure is held once, as sorted index lists in both directions: a
 CSR form (each customer's requirements; ``closure_indices`` are its row
@@ -25,9 +26,10 @@ count and marginal arrays, which are never rebound, so the numpy code
 reading them sees each flip with no copy or sync step.  The
 constructions, both climbs, the annealer's chain and the exact DFS all
 flip customers through it, and :meth:`CoverTracker.solution` reads its
-result from that state.  :func:`evaluate` works a selection out from scratch and is the
-independent check of the tracker.  Both read only these lists: no solver
-path builds a dense customer x requirement array or calls BLAS.
+result from that state.  :func:`evaluate` works a selection out from
+scratch and is the independent check of the tracker.  Both read only
+these lists: no solver path builds a dense customer x requirement array
+or calls BLAS.
 """
 
 from __future__ import annotations
@@ -40,7 +42,16 @@ import numpy as np
 
 
 class InvalidInstanceError(Exception):
-    """Raised when an operation requires a validated instance."""
+    """Raised by :class:`Instance` on malformed raw data.
+
+    ``issues`` holds every :class:`ValidationIssue` found: ``cyclic-dependency``
+    (with one concrete cycle), ``bad-id`` (edge or request outside 1..n)
+    and ``non-positive-value`` (cost or profit below 1).
+    """
+
+    def __init__(self, issues: Sequence[ValidationIssue]):
+        self.issues = tuple(issues)
+        super().__init__("instance failed validation: " + "; ".join(map(str, self.issues)))
 
 
 @dataclass(frozen=True)
@@ -90,11 +101,12 @@ class Instance:
     The closure is held once, as sorted index lists per customer (CSR) and
     per requirement (its transpose); no dense closure matrix is ever built.
 
-    Build through :func:`make_instance`.  When the raw data is
-    malformed (cycle, id out of range, non-positive cost or profit) the
-    instance still exists so that :func:`validate` can report the
-    issues, but the derived caches stay unset and the solver-facing
-    accessors raise :class:`InvalidInstanceError`.
+    Build through :func:`make_instance`.  Malformed raw data (a cycle, an
+    id out of range, a cost or profit below 1) raises
+    :class:`InvalidInstanceError`, so every instance that exists is valid.
+    ``cost_vector``, ``profit_vector``, ``closure_indices`` (per customer,
+    the sorted 0-based requirement indices of its closure) and
+    ``closure_cost_vector`` are the solver-facing numpy views.
     """
 
     def __init__(
@@ -114,18 +126,16 @@ class Instance:
         level_sizes = tuple(int(k) for k in level_sizes)
         if sum(level_sizes) != n:
             raise ValueError(f"level sizes {level_sizes} do not sum to {n} requirements")
+        issues = _check_structure(costs, edge_list, raw_customers)
+        if issues:
+            raise InvalidInstanceError(issues)
 
         self.requirements = tuple(Requirement(i + 1, c) for i, c in enumerate(costs))
         self.graph = DependencyGraph(edge_list)
         self.level_sizes = level_sizes
         self.total_cost = sum(costs)
-
         self.customers = tuple(
             Customer(i + 1, w, reqs) for i, (w, reqs) in enumerate(raw_customers))
-        self._issues = tuple(_structural_issues(costs, edge_list, raw_customers))
-        if self._issues:
-            self._cost_vec = None
-            return
 
         parents = _parent_lists(n, edge_list)
         # CSR form of the closure: customer i's requirements, sorted, are
@@ -137,12 +147,12 @@ class Instance:
             ptr.append(len(entries))
 
         self._cost = costs
-        self._cost_vec = np.asarray(costs, dtype=np.int64)
-        self._cost_f64 = self._cost_vec.astype(np.float64)
-        self._profit_vec = np.asarray([w for w, _reqs in raw_customers], dtype=np.int64)
+        self.cost_vector = np.asarray(costs, dtype=np.int64)
+        self._cost_f64 = self.cost_vector.astype(np.float64)
+        self.profit_vector = np.asarray([w for w, _reqs in raw_customers], dtype=np.int64)
         self._csr_ptr = np.asarray(ptr, dtype=np.intp)
         self._csr_req = np.asarray(entries, dtype=np.intp)
-        self._closure_idx = tuple(self._csr_req[a:b] for a, b in zip(ptr, ptr[1:]))
+        self.closure_indices = tuple(self._csr_req[a:b] for a, b in zip(ptr, ptr[1:]))
         # the customer of every closure entry
         self._csr_row = np.repeat(np.arange(len(raw_customers)), np.diff(ptr))
         # the transpose: requirement r's customers, sorted, as Python lists for
@@ -150,8 +160,9 @@ class Instance:
         by_req = self._csr_row[np.argsort(self._csr_req, kind="stable")].tolist()
         req_ptr = np.cumsum(np.bincount(self._csr_req, minlength=n)).tolist()
         self._needed_by = tuple(by_req[a:b] for a, b in zip([0] + req_ptr, req_ptr))
-        self._closure_cost_vec = np.bincount(self._csr_row, weights=self._cost_vec[self._csr_req],
-                                             minlength=len(raw_customers)).astype(np.int64)
+        self.closure_cost_vector = np.bincount(
+            self._csr_row, weights=self._cost_f64[self._csr_req],
+            minlength=len(raw_customers)).astype(np.int64)
 
     # -- structure ---------------------------------------------------------
 
@@ -162,38 +173,6 @@ class Instance:
     @property
     def n_customers(self) -> int:
         return len(self.customers)
-
-    @property
-    def is_valid(self) -> bool:
-        return not self._issues
-
-    def require_valid(self) -> None:
-        if self._issues:
-            detail = "; ".join(str(i) for i in self._issues)
-            raise InvalidInstanceError(f"instance failed validation: {detail}")
-
-    # -- solver-facing numpy views (valid instances only) ------------------
-
-    @property
-    def cost_vector(self) -> np.ndarray:
-        self.require_valid()
-        return self._cost_vec
-
-    @property
-    def profit_vector(self) -> np.ndarray:
-        self.require_valid()
-        return self._profit_vec
-
-    @property
-    def closure_indices(self) -> tuple[np.ndarray, ...]:
-        """Per-customer sorted 0-based requirement indices of the closure."""
-        self.require_valid()
-        return self._closure_idx
-
-    @property
-    def closure_cost_vector(self) -> np.ndarray:
-        self.require_valid()
-        return self._closure_cost_vec
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -221,11 +200,13 @@ def make_instance(
     """Build an :class:`Instance` from raw parts.
 
     ``customers`` is a sequence of (profit, requested requirement ids).
+    Malformed parts raise :class:`InvalidInstanceError` listing every issue.
     """
     return Instance(costs, edges, customers, level_sizes)
 
 
-def _structural_issues(costs, edges, raw_customers) -> list[ValidationIssue]:
+def _check_structure(costs, edges, raw_customers) -> list[ValidationIssue]:
+    """Every issue of the raw parts; empty when they make a valid instance."""
     issues: list[ValidationIssue] = []
     n = len(costs)
 
@@ -310,27 +291,15 @@ def _prerequisite_closure(parents: list[list[int]], request_ids: Iterable[int]) 
 # -- operations -------------------------------------------------------------
 
 
-def validate(instance: Instance) -> list[ValidationIssue]:
-    """Check structural soundness; an empty list means the instance is usable.
-
-    Reported kinds: ``cyclic-dependency`` (with one concrete cycle),
-    ``bad-id`` (edge or request outside 1..n), ``non-positive-value``
-    (cost or profit below 1).
-    """
-    return list(instance._issues)
-
-
 def closure(instance: Instance, customer_id: int) -> frozenset[int]:
     """Requirements that must be developed to satisfy one customer, built
     on each call from its ``closure_indices`` row."""
-    instance.require_valid()
     idx = instance.closure_indices[_customer_index(instance, customer_id)]
     return frozenset((idx + 1).tolist())
 
 
 def evaluate(instance: Instance, selected: Iterable[int]) -> Solution:
     """Evaluate a customer selection: union coverage, union cost, summed profit."""
-    instance.require_valid()
     idx = sorted({_customer_index(instance, c) for c in selected})
     covered_mask = np.zeros(instance.n_requirements, dtype=bool)
     covered_mask[_closure_entries(instance, idx)[1]] = True
@@ -350,15 +319,6 @@ def budget(instance: Instance, ratio) -> int:
     if not 0 < frac <= 1:
         raise ValueError(f"budget ratio must be in (0, 1], got {ratio}")
     return int(frac * instance.total_cost)
-
-
-def marginal_cost(instance: Instance, solution: Solution, customer_id: int) -> int:
-    """Cost increase from adding one customer to an evaluated solution."""
-    instance.require_valid()
-    if customer_id in solution.selected:
-        raise ValueError(f"customer {customer_id} is already selected")
-    new = closure(instance, customer_id) - solution.covered
-    return int(instance.cost_vector[[r - 1 for r in new]].sum())
 
 
 def _customer_index(instance: Instance, customer_id: int) -> int:
@@ -394,7 +354,6 @@ class CoverTracker:
 
         An id outside 1..n raises ``ValueError``.
         """
-        instance.require_valid()
         self._inst = instance
         self._idx = instance.closure_indices
         self._needed_by = instance._needed_by

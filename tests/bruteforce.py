@@ -42,6 +42,14 @@ def brute_eval(instance, selected):
     return covered, cost, profit
 
 
+def marginal_cost(instance, solution, customer_id):
+    """Cost increase from adding one unselected customer to an evaluated solution."""
+    if customer_id in solution.selected:
+        raise ValueError(f"customer {customer_id} is already selected")
+    new = brute_closure(instance, instance.customers[customer_id - 1].requests) - solution.covered
+    return sum(instance.requirements[r - 1].cost for r in new)
+
+
 def brute_best(instance, budget):
     """(profit, selection) of an optimal feasible subset.
 

@@ -16,9 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 import bruteforce as bf
-from nrpbench import (AcoParams, FhcParams, GraspParams, SaParams, budget, builtin_spec,
-                      generate, rng, run, solve_one, validate)
-from nrpbench.aco import PheromoneState, selection_probabilities
+from nrpbench import (AcoParams, FhcParams, GraspParams, InvalidInstanceError, SaParams, budget,
+                      builtin_spec, generate, rng, run, solve_one)
+from nrpbench.aco import selection_probabilities
 from nrpbench.local_search import fhc
 
 RATIOS = ("0.3", "0.5", "0.7")
@@ -95,10 +95,9 @@ def test_criterion_4_selection_probabilities_normalize(criterion):
         tau = gen.random(m) + 1e-12
         eta = gen.uniform(0.1, 5.0, size=m)
         k = int(gen.integers(1, m + 1))
-        cands = gen.choice(m, size=k, replace=False) + 1
+        cands = gen.choice(m, size=k, replace=False)
         alpha, beta = gen.uniform(0.0, 3.0, size=2)
-        probs = selection_probabilities(PheromoneState(tau, float(tau.max())),
-                                        eta, cands, float(alpha), float(beta))
+        probs = selection_probabilities(tau ** float(alpha) * eta ** float(beta), cands)
         worst = max(worst, abs(float(probs.sum()) - 1.0))
     criterion(4, worst <= 1e-9,
               f"max |sum(p) - 1| over 10^4 random (tau, eta, candidates) "
@@ -264,10 +263,13 @@ def test_criterion_9_generator_fidelity(criterion):
     for family, (levels, n_customers) in FAMILY_SHAPES.items():
         spec = builtin_spec(family)
         for seed in range(1, 21):
-            inst = generate(spec, seed)
             total += 1
-            good = (validate(inst) == []
-                    and list(inst.level_sizes) == levels
+            try:
+                inst = generate(spec, seed)
+            except InvalidInstanceError:  # a malformed instance is refused as it is built
+                bad += 1
+                continue
+            good = (list(inst.level_sizes) == levels
                     and inst.n_customers == n_customers
                     and _matches_recipe(inst, spec))
             bad += not good

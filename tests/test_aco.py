@@ -4,8 +4,8 @@ import pytest
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, budget, builtin_spec, generate, make_instance,
                       rng, solve_one)
-from nrpbench.aco import (EmptyCandidateSetError, PheromoneState, construct_solution, deposit,
-                          evaporate, heuristic_info, init_pheromone, roulette_select, run,
+from nrpbench.aco import (PheromoneState, construct_solution, deposit, evaporate,
+                          heuristic_info, init_pheromone, roulette_select, run,
                           selection_probabilities)
 
 
@@ -53,32 +53,36 @@ def test_colony_solves_degenerate_instances(algo):
 
 
 def test_selection_probabilities_symmetric():
-    state = PheromoneState(tau=np.array([0.5, 0.5]), theta=0.1)
-    probs = selection_probabilities(state, np.array([1.0, 1.0]), [1, 2], 1.3, 0.7)
+    probs = selection_probabilities(np.array([0.5, 0.5]), np.array([0, 1]))
     assert np.allclose(probs, [0.5, 0.5])
 
 
 def test_selection_probabilities_ratio():
-    state = PheromoneState(tau=np.array([0.5, 0.5]), theta=0.1)
-    probs = selection_probabilities(state, np.array([2.0, 1.0]), [1, 2], 1.0, 1.0)
+    tau, eta = np.array([0.5, 0.5]), np.array([2.0, 1.0])
+    probs = selection_probabilities(tau ** 1.0 * eta ** 1.0, np.array([0, 1]))
     assert np.allclose(probs, [2 / 3, 1 / 3])
 
 
 def test_selection_probabilities_restrict_to_candidates():
-    state = PheromoneState(tau=np.array([0.9, 0.5, 0.2]), theta=0.1)
-    eta = np.array([1.0, 2.0, 3.0])
-    probs = selection_probabilities(state, eta, [3], 1.1, 1.5)
-    assert probs[2] == pytest.approx(1.0)
-    assert probs[0] == probs[1] == 0.0
-    with pytest.raises(EmptyCandidateSetError):
-        selection_probabilities(state, eta, [], 1.1, 1.5)
+    weights = np.array([0.9, 0.5, 0.2, 0.4])
+    # one entry per candidate, in the candidates' order
+    assert selection_probabilities(weights, np.array([2])).tolist() == [1.0]
+    assert np.allclose(selection_probabilities(weights, np.array([3, 1])), [4 / 9, 5 / 9])
 
 
 def test_selection_probabilities_uniform_when_exponents_zero():
-    state = PheromoneState(tau=np.array([0.9, 0.5, 0.2]), theta=0.1)
-    eta = np.array([1.0, 2.0, 3.0])
-    probs = selection_probabilities(state, eta, [1, 2, 3], 0.0, 0.0)
+    tau, eta = np.array([0.9, 0.5, 0.2]), np.array([1.0, 2.0, 3.0])
+    probs = selection_probabilities(tau ** 0.0 * eta ** 0.0, np.array([0, 1, 2]))
     assert np.allclose(probs, [1 / 3, 1 / 3, 1 / 3])
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_selection_probabilities_uniform_when_the_total_is_zero_or_not_finite(bad):
+    # zero: a trail evaporated to nothing; inf and NaN: weights that overflowed
+    weights = np.array([bad, 0.0, 0.0, 1.0, 3.0])
+    assert selection_probabilities(weights, np.array([0, 1, 2])).tolist() == [1 / 3] * 3
+    # only the candidates' own total decides
+    assert selection_probabilities(weights, np.array([4, 3])).tolist() == [0.75, 0.25]
 
 
 def test_roulette_select():

@@ -60,8 +60,10 @@ def test_solve_one_evaluates_at_most_once(algo, monkeypatch):
         calls.append(args)
         return evaluate(*args)
 
-    for name in ("model", "aco", "baselines"):
-        monkeypatch.setattr(importlib.import_module(f"nrpbench.{name}"), "evaluate", counted)
+    for name in ("model", "aco", "baselines", "local_search"):
+        module = importlib.import_module(f"nrpbench.{name}")
+        if hasattr(module, "evaluate"):  # wherever a solver module imports it
+            monkeypatch.setattr(module, "evaluate", counted)
     inst = generate(builtin_spec("NRP-1"), 1)
     sol, _ = solve_one(inst, budget(inst, "0.5"), algo, 1, SMALL_EFFORT[algo])
     assert len(calls) <= 1

@@ -13,8 +13,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nrpbench import (ConfigError, cli, make_instance, parse_bench_config, read_instance,
-                      write_instance_file)
+from nrpbench import (ConfigError, InvalidInstanceError, cli, make_instance,
+                      parse_bench_config, read_instance, write_instance_file)
 from nrpbench.bench import ALGORITHMS, default_params
 
 
@@ -208,6 +208,54 @@ def test_solve_data_errors(tmp_path):
     bad.write_text("1\n4\n5 3 4\n")  # truncated cost list
     rc, _, err = run_cli("solve", bad)
     assert rc == 2 and "line" in err
+
+
+# well-formed instance files with malformed content, and the issue kinds they hold
+MALFORMED = {
+    # a two-requirement dependency cycle
+    "cyclic": ("1\n2\n1 1\n2\n1 2\n2 1\n1\n5 1 1\n", ["cyclic-dependency"]),
+    # a zero cost, and a request for requirement 9 of 2
+    "zero-cost-bad-id": ("1\n2\n0 1\n0\n1\n5 1 9\n", ["non-positive-value", "bad-id"]),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_read_instance_refuses_malformed_text(name):
+    text, kinds = MALFORMED[name]
+    with pytest.raises(InvalidInstanceError) as err:
+        read_instance(text)
+    assert [i.kind for i in err.value.issues] == kinds
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_solve_and_verify_refuse_malformed_files(name, toy_file, tmp_path):
+    text, kinds = MALFORMED[name]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    dump = tmp_path / "sol.json"
+    assert run_cli("solve", toy_file, "--algo", "fhc", "--dump", dump)[0] == 0
+    for argv in (("solve", bad), ("verify", bad, dump)):
+        rc, out, err = run_cli(*argv)
+        assert rc == 2 and out == ""
+        # one error line naming every issue, no traceback
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: instance failed validation: ")
+        assert all(f"{kind}: " in err for kind in kinds)
+
+
+def test_bench_refuses_malformed_files(tmp_path):
+    for name, (text, _kinds) in MALFORMED.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text(f"[bench]\nfiles = {' '.join(f'{n}.txt' for n in MALFORMED)}\n"
+                   "ratios = 0.5\nseeds = 1\nalgorithms = fhc exact\nout = r\n")
+    rc, out, err = run_cli("bench", cfg)
+    assert rc == 2 and "0/4 runs completed" in out
+    assert "Traceback" not in err
+    rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.split(",")[-1].startswith("error:InvalidInstanceError: instance failed "
+                                             "validation: ") for row in rows)
 
 
 def test_solve_param_flags_change_result(toy_file):

@@ -6,42 +6,50 @@ import pytest
 
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, InvalidInstanceError, aco, baselines, budget,
-                      builtin_spec, closure, evaluate, generate, make_instance, model, rng,
-                      validate)
+                      builtin_spec, closure, evaluate, generate, make_instance, model, rng)
 from nrpbench.aco import construct_solution, heuristic_info, init_pheromone
 from nrpbench.baselines import grasp_construct
-from nrpbench.model import marginal_cost
+
+
+def _refusal(*parts):
+    """The error ``make_instance(*parts)`` raises."""
+    with pytest.raises(InvalidInstanceError) as err:
+        make_instance(*parts)
+    return err.value
 
 
 def test_validate_ok(toy):
-    assert validate(toy) == []
-    assert toy.is_valid
+    # building is validating: a well-formed instance is built with its closures
     assert toy.total_cost == 14
+    assert [c.tolist() for c in toy.closure_indices] == [[0, 1], [2], [2, 3]]
 
 
 def test_validate_cycle():
-    inst = make_instance([1, 1], [(1, 2), (2, 1)], [(5, [1])])
-    issues = validate(inst)
-    assert any(i.kind == "cyclic-dependency" for i in issues)
+    issues = _refusal([1, 1], [(1, 2), (2, 1)], [(5, [1])]).issues
+    assert [i.kind for i in issues] == ["cyclic-dependency"]
     # the reported cycle names both nodes
-    msg = next(str(i) for i in issues if i.kind == "cyclic-dependency")
-    assert "1" in msg and "2" in msg
-    with pytest.raises(InvalidInstanceError):
-        evaluate(inst, [1])
+    assert "1" in str(issues[0]) and "2" in str(issues[0])
 
 
 def test_validate_bad_ids():
-    inst = make_instance([1, 1, 1, 1], [], [(5, [99])])
-    assert any(i.kind == "bad-id" for i in validate(inst))
-    inst2 = make_instance([1, 1], [(1, 7)], [(5, [1])])
-    assert any(i.kind == "bad-id" for i in validate(inst2))
+    assert [i.kind for i in _refusal([1, 1, 1, 1], [], [(5, [99])]).issues] == ["bad-id"]
+    assert [i.kind for i in _refusal([1, 1], [(1, 7)], [(5, [1])]).issues] == ["bad-id"]
 
 
 def test_validate_non_positive_values():
-    inst = make_instance([0, 1], [], [(5, [1])])
-    assert any(i.kind == "non-positive-value" for i in validate(inst))
-    inst2 = make_instance([1, 1], [], [(0, [1])])
-    assert any(i.kind == "non-positive-value" for i in validate(inst2))
+    assert [i.kind for i in _refusal([0, 1], [], [(5, [1])]).issues] == ["non-positive-value"]
+    assert [i.kind for i in _refusal([1, 1], [], [(0, [1])]).issues] == ["non-positive-value"]
+
+
+def test_invalid_instance_lists_every_issue():
+    err = _refusal([0, 1], [(1, 2), (2, 1)], [(-3, [2]), (4, [5])])
+    assert [str(i) for i in err.issues] == [
+        "non-positive-value: requirement 1 has cost 0",
+        "non-positive-value: customer 1 has profit -3",
+        "bad-id: customer 2 requests requirement 5",
+        "cyclic-dependency: dependency cycle 1 -> 2 -> 1",
+    ]
+    assert str(err) == "instance failed validation: " + "; ".join(map(str, err.issues))
 
 
 def test_closure_basics(toy):
@@ -109,11 +117,11 @@ def test_budget_range(toy):
 
 
 def test_marginal_cost(toy):
-    assert marginal_cost(toy, evaluate(toy, [2]), 3) == 2
-    assert marginal_cost(toy, evaluate(toy, []), 1) == 8
-    assert marginal_cost(toy, evaluate(toy, [3]), 2) == 0
+    assert bf.marginal_cost(toy, evaluate(toy, [2]), 3) == 2
+    assert bf.marginal_cost(toy, evaluate(toy, []), 1) == 8
+    assert bf.marginal_cost(toy, evaluate(toy, [3]), 2) == 0
     with pytest.raises(ValueError):
-        marginal_cost(toy, evaluate(toy, [2]), 2)
+        bf.marginal_cost(toy, evaluate(toy, [2]), 2)
 
 
 def test_evaluate_matches_bruteforce():
@@ -153,7 +161,7 @@ def test_marginal_cost_sums_to_evaluate():
         total = 0
         taken = []
         for c in order:
-            total += marginal_cost(inst, sol, c)
+            total += bf.marginal_cost(inst, sol, c)
             taken.append(c)
             sol = evaluate(inst, taken)
         assert total == sol.cost
@@ -167,7 +175,7 @@ def test_cover_tracker_matches_marginal():
         sol = evaluate(inst, [])
         taken = []
         for c in (int(x) + 1 for x in gen.permutation(inst.n_customers)):
-            assert tracker.marginal[c - 1] == marginal_cost(inst, sol, c)
+            assert tracker.marginal[c - 1] == bf.marginal_cost(inst, sol, c)
             tracker.add(c - 1)
             taken.append(c)
             sol = evaluate(inst, taken)

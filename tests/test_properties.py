@@ -12,7 +12,6 @@ from nrpbench import (AcoParams, CoverTracker, FhcParams, GraspParams, SaParams,
 from nrpbench.aco import roulette_select
 from nrpbench.baselines import _top_k
 from nrpbench.local_search import _may_swap, random_feasible, sweep_improve
-from nrpbench.model import marginal_cost
 
 # derandomized: the tier-1 suite gives the same verdict on every run
 FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -65,7 +64,7 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
         for c in range(1, inst.n_customers + 1):
             want = 0
             if c not in chosen:
-                want = marginal_cost(inst, sol, c)
+                want = bf.marginal_cost(inst, sol, c)
                 assert want == evaluate(inst, chosen | {c}).cost - sol.cost
             assert cover.marginal[c - 1] == want
         fresh = CoverTracker(inst, chosen)
