@@ -84,9 +84,10 @@ def selection_probabilities(weights: np.ndarray, cand: np.ndarray) -> np.ndarray
     for a trail that has evaporated to nothing.
     """
     w = weights[cand]
-    total = w.sum()
+    total = np.add.reduce(w)
     if 0 < total < np.inf:
-        return w / total
+        w /= total
+        return w
     return np.full(w.size, 1.0 / w.size)
 
 
@@ -105,8 +106,8 @@ def roulette_select(probabilities: np.ndarray, r: float) -> int:
     is the first positive entry; past the end it is the last one.
     """
     p = np.asarray(probabilities, dtype=np.float64)
-    k = int(p.cumsum().searchsorted(r, side="left"))
-    if k < p.size and p[k] > 0:
+    k = int(np.add.accumulate(p).searchsorted(r, side="left"))
+    if k < p.size and p.item(k) > 0:
         return k + 1
     positive = (p > 0).nonzero()[0]
     if positive.size == 0:

@@ -3,9 +3,11 @@
 GRASP alternates a greedy-randomized construction (rank affordable
 customers by profit per marginal cost, pick uniformly from the top of
 the list) with the same first-found hill climb the restart solver uses.
-Each step ranks only the head of the list: a partition finds the
-list's last score, and only the candidates scoring at least that much
-are sorted, which gives the same list as sorting all of them.
+Each step ranks only the head of the list.  A partition sets a score
+threshold deeper than the list, and later steps keep reusing it: the
+candidates scoring at least that much are sorted, and as long as there
+are enough of them for a full list, their head is the head of a full
+sort.  Only a step left with too few partitions again.
 
 The annealer flips one customer's membership per step through a
 :class:`~nrpbench.model.CoverTracker` started from a random feasible
@@ -38,6 +40,8 @@ from .model import CoverTracker, Instance, Solution, _construct
 
 # the most customers :func:`exact` enumerates
 EXACT_GUARD = 25
+# GRASP's threshold: the key this many candidate-list lengths deep
+_RCL_DEPTH = 2
 
 
 class TooLargeError(Exception):
@@ -82,30 +86,39 @@ def grasp_construct(
 
     Candidates are scored by profit / max(1, marginal cost) and ranked
     score-descending with ties to the smaller id, so rcl_length = 1 is
-    the deterministic greedy.  Only the top `rcl_length` are sorted
-    (:func:`_top_k`); the list is the one a full sort gives.
+    the deterministic greedy.  Only the head of the ranking is sorted
+    (:func:`_top_k`), from a threshold carried from step to step; the
+    list is the one a full sort gives.
     """
     profits = instance.profit_vector
+    thr = -np.inf
 
     def choose(cover, cand):
-        score = profits[cand] / np.maximum(1.0, cover.marginal[cand])
-        rcl = _top_k(-score, rcl_length)
+        nonlocal thr
+        key = profits[cand] / np.maximum(1.0, cover.marginal[cand])
+        rcl, thr = _top_k(np.negative(key, out=key), rcl_length, thr)
         return int(rcl[int(gen.integers(0, rcl.size))])
 
     return _construct(instance, budget, choose)
 
 
-def _top_k(key: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` smallest keys, ascending, ties to the smaller position.
+def _top_k(key: np.ndarray, k: int, thr: float) -> tuple[np.ndarray, float]:
+    """Positions of the ``k`` smallest keys, ascending, ties to the smaller
+    position, and the threshold to pass to the next call.
 
-    Equal to ``np.lexsort((positions, key))[:k]`` without sorting the whole
-    vector: every key at or below the k-th smallest (``np.partition``) is
-    kept, ties included, and only those are stably sorted.
+    Equal to ``np.lexsort((positions, key))[:k]`` whatever ``thr`` is: when
+    at least ``k`` keys (or all of them) are at or below ``thr``, so is the
+    k-th smallest, so every key of the head is kept, ties included, and a
+    stable sort of the kept ones gives the head.  Otherwise a partition sets ``thr`` to
+    the (``_RCL_DEPTH * k``)-th smallest key, or the largest on a shorter
+    vector, and keeps again.
     """
-    if key.size > k:
-        kept = (key <= np.partition(key, k - 1)[k - 1]).nonzero()[0]
-        return kept[np.argsort(key[kept], kind="stable")[:k]]
-    return np.argsort(key, kind="stable")
+    kept = (key <= thr).nonzero()[0]
+    if kept.size < min(k, key.size):
+        depth = min(_RCL_DEPTH * k, key.size)
+        thr = np.partition(key, depth - 1)[depth - 1]
+        kept = (key <= thr).nonzero()[0]
+    return kept[key[kept].argsort(kind="stable")[:k]], thr
 
 
 def grasp(instance: Instance, budget: int, params: GraspParams, seed: int) -> Solution:

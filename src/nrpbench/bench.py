@@ -312,6 +312,8 @@ def _run_cell(args) -> tuple[RunRecord, dict | None]:
         check = evaluate(inst, sol.selected)
         if check.profit != sol.profit or check.cost != sol.cost:
             raise AssertionError("solver returned an inconsistent solution")
+        if sol.cost > bud:
+            raise AssertionError(f"solver returned cost {sol.cost}, which exceeds budget {bud}")
         rec = RunRecord(name, ratio, algo, seed, sol.profit, sol.cost, bud,
                         elapsed, effort)
         dump = _dump_payload(name, ratio, algo, seed, bud, sol) if want_dump else None

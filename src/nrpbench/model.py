@@ -481,16 +481,30 @@ def _construct(instance: Instance, budget: int, choose) -> Solution:
 
     ``cand`` holds the 0-based ids :meth:`CoverTracker.affordable` would
     return, and ``choose`` returns a position in it.  The list is worked
-    out once and then only filtered: ``cost + marginal[j]`` is the union
+    out once and then only shrinks: ``cost + marginal[j]`` is the union
     cost with j added, which no add lowers, so a customer that stops
     fitting never fits again within one fill.
+
+    Most steps drop only the chosen customer.  ``most``, the largest
+    marginal in the list when it was last filtered, stays an upper bound
+    on every entry's marginal, since no add raises one; while it fits in
+    the slack ``budget - cost``, every other entry still fits and the step
+    just removes position k.  Otherwise the list is filtered and ``most``
+    worked out again from the entries kept.
     """
     cover = CoverTracker(instance)
     cand = cover.affordable(budget)
+    most = cover.marginal[cand].max(initial=0.0)
     while cand.size:
         k = choose(cover, cand)
         cover.add(int(cand[k]))
-        keep = cover.marginal[cand] <= budget - cover.cost
-        keep[k] = False
-        cand = cand[keep]
+        slack = budget - cover.cost
+        if most <= slack:
+            cand[k:-1] = cand[k + 1:]
+            cand = cand[:-1]
+        else:
+            keep = cover.marginal[cand] <= slack
+            keep[k] = False
+            cand = cand[keep]
+            most = cover.marginal[cand].max(initial=0.0)
     return cover.solution()

@@ -8,6 +8,7 @@ from nrpbench import (AcoParams, BenchConfig, ConfigError, FhcParams,
                       builtin_spec, evaluate, generate, make_instance,
                       parse_bench_config, run, run_bench, solve_one, verify_dump,
                       write_instance_file)
+from nrpbench import bench, cli
 from nrpbench.bench import default_params
 
 TOY_ARGS = ([5, 3, 4, 2], [(1, 2), (3, 4)], [(10, [2]), (8, [3]), (6, [4])])
@@ -356,6 +357,25 @@ def test_run_bench_records_failed_cells(toy_file, tmp_path):
     assert row.count(",") == 8  # commas inside the message stay escaped
     md = (tmp_path / "r.md").read_text()
     assert "—" in md  # failed cell renders as a gap, not a number
+
+
+def test_over_budget_results_are_error_rows(toy, toy_file, tmp_path, monkeypatch, capsys):
+    # a solver result that re-evaluates consistently but costs more than the
+    # budget is a failed cell, not a good row
+    over = evaluate(toy, [1, 2, 3])  # cost 14: over budget 7 at 0.5, within 14 at 1.0
+    cls, pinned, effort, _call = bench._SOLVERS["fhc"]
+    monkeypatch.setitem(bench._SOLVERS, "fhc", (cls, pinned, effort, lambda *a: over))
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text(f"[bench]\nfiles = {toy_file}\nratios = 0.5 1.0\nseeds = 1\n"
+                   f"algorithms = fhc\nout = {tmp_path / 'r'}\n")
+    assert cli.main(["bench", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert "1/2 runs completed" in out and "Traceback" not in err
+    rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+    assert rows[0].startswith("toy,0.5,fhc,1,,,,")
+    assert rows[0].endswith(",error:AssertionError: solver returned cost 14; "
+                            "which exceeds budget 7")
+    assert rows[1].startswith("toy,1.0,fhc,1,24,14,14,")
 
 
 def test_verify_dump_reports_discrepancies(toy):

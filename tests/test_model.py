@@ -194,13 +194,27 @@ def test_cover_tracker_rejects_bad_ids(toy):
 
 @pytest.mark.parametrize("solver", ["aco", "grasp"])
 def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypatch):
-    # _construct filters its candidate list after each add instead of asking
-    # the tracker again, which is exact only because no add lowers cost + marginal
+    # _construct shrinks its candidate list after each add instead of asking
+    # the tracker again, which is exact only because no add lowers cost + marginal.
+    # A step only removes the chosen entry, keeping the list's memory, while the
+    # largest marginal at the last filter fits the slack; otherwise it filters
+    # into a new array.
     steps = []
+    branches = {"remove": 0, "filter": 0}
 
     def checked(instance, bud, choose):
+        last = {}
+
         def spy(cover, cand):
             assert np.array_equal(cand, cover.affordable(bud))
+            filtered = True
+            if last:
+                filtered = not np.shares_memory(cand, last["cand"])
+                assert filtered == (last["most"] > bud - cover.cost)
+                branches["filter" if filtered else "remove"] += 1
+            if filtered:
+                last["most"] = cover.marginal[cand].max()
+            last["cand"] = cand
             steps.append(cand.size)
             return choose(cover, cand)
 
@@ -221,6 +235,7 @@ def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypat
                 else:
                     grasp_construct(inst, bud, 10, rng.substream(s, rng.GRASP_RESTART, 1))
     assert len(steps) > 100
+    assert branches["remove"] > 0 and branches["filter"] > 0
 
 
 def test_evaluate_is_pure(toy):

@@ -177,24 +177,35 @@ def test_write_read_round_trip(inst):
 
 
 @st.composite
-def candidate_lists(draw):
-    """A list length, ascending candidate ids and GRASP scores with frequent ties."""
+def candidate_steps(draw):
+    """A list length and the GRASP keys of a candidate list over a run of steps:
+    between steps entries leave and the keys left fall or rise, with frequent ties."""
     rcl = draw(st.integers(1, 12))
-    k = draw(st.integers(1, rcl + 3))
-    ids = np.array(sorted(draw(st.sets(st.integers(0, 500), min_size=k, max_size=k))))
+    size = draw(st.integers(1, 3 * rcl + 6))
     ratio = st.tuples(st.sampled_from([1, 2, 3, 6]), st.sampled_from([0, 1, 2, 3, 4]))
-    pairs = [draw(ratio)] * k if draw(st.booleans()) else draw(
-        st.lists(ratio, min_size=k, max_size=k))
-    score = np.array([w / max(1.0, m) for w, m in pairs])
-    return rcl, ids, score
+    pairs = [draw(ratio)] * size if draw(st.booleans()) else draw(
+        st.lists(ratio, min_size=size, max_size=size))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        steps.append(np.array([-(w / max(1.0, m)) for w, m in pairs]))
+        leave = draw(st.sets(st.integers(0, len(pairs) - 1), max_size=len(pairs) - 1))
+        # a marginal that falls raises the score, so the key falls; one that rises lifts it
+        moves = draw(st.lists(st.sampled_from([0, 0, -1, 1, 2]), min_size=len(pairs),
+                              max_size=len(pairs)))
+        pairs = [(w, max(0, m + d)) for i, ((w, m), d) in enumerate(zip(pairs, moves))
+                 if i not in leave]
+    return rcl, steps
 
 
 @FAST
-@given(candidate_lists())
+@given(candidate_steps())
 def test_top_k_is_the_head_of_a_full_sort(case):
-    rcl, ids, score = case
-    top = _top_k(-score, rcl)
-    assert top.tolist() == np.lexsort((ids, -score))[:rcl].tolist()
+    # the threshold each call returns is passed to the next, as a GRASP fill does
+    rcl, steps = case
+    thr = -np.inf
+    for key in steps:
+        top, thr = _top_k(key, rcl, thr)
+        assert top.tolist() == np.lexsort((np.arange(key.size), key))[:rcl].tolist()
 
 
 def _positive_roulette(p, r):
