@@ -109,9 +109,9 @@ def _top_k(key: np.ndarray, k: int, thr: float) -> tuple[np.ndarray, float]:
     Equal to ``np.lexsort((positions, key))[:k]`` whatever ``thr`` is: when
     at least ``k`` keys (or all of them) are at or below ``thr``, so is the
     k-th smallest, so every key of the head is kept, ties included, and a
-    stable sort of the kept ones gives the head.  Otherwise a partition sets ``thr`` to
-    the (``_RCL_DEPTH * k``)-th smallest key, or the largest on a shorter
-    vector, and keeps again.
+    stable sort of the kept ones gives the head.  Otherwise a partition
+    sets ``thr`` to the (``_RCL_DEPTH * k``)-th smallest key, or the
+    largest on a shorter vector, and keeps again.
     """
     kept = (key <= thr).nonzero()[0]
     if kept.size < min(k, key.size):
