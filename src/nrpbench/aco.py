@@ -76,7 +76,7 @@ def heuristic_info(instance: Instance) -> np.ndarray:
     return instance.profit_vector / np.maximum(1.0, instance.closure_cost_vector)
 
 
-def selection_probabilities(weights: np.ndarray, cand: np.ndarray) -> np.ndarray:
+def _selection_probabilities(weights: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """The random proportional rule over the candidates ``cand`` (0-based ids).
 
     Their ``weights`` (tau^alpha * eta^beta) scaled to sum to 1, in the
@@ -91,7 +91,7 @@ def selection_probabilities(weights: np.ndarray, cand: np.ndarray) -> np.ndarray
     return np.full(w.size, 1.0 / w.size)
 
 
-def roulette_select(probabilities: np.ndarray, r: float) -> int:
+def _roulette_select(probabilities: np.ndarray, r: float) -> int:
     """First customer (in id order) whose cumulative probability reaches r.
 
     Works on any non-negative probability vector: the result is the
@@ -133,7 +133,7 @@ def construct_solution(
     weights = state.tau ** params.alpha * eta ** params.beta
 
     def choose(cover, cand):
-        return roulette_select(selection_probabilities(weights, cand), gen.random()) - 1
+        return _roulette_select(_selection_probabilities(weights, cand), gen.random()) - 1
 
     return _construct(instance, budget, choose)
 

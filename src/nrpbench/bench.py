@@ -3,10 +3,13 @@
 Configs are INI files: a ``[bench]`` section lists instance sources,
 ratios, seeds, and algorithms; an optional section per algorithm sets
 fields of its params class (see the solver registry), and any other
-section is an error.  Every cell is an independent job, so the matrix can
+section is an error.  A ``BenchConfig`` checks its own values when it is
+built, so every matrix that exists is valid; the INI reader checks only
+what needs the text.  Every cell is an independent job, so the matrix can
 run across processes; cells are sorted before they run and results come
 back in that order, so the output never depends on scheduling.  Wall time
-is measured around the solver call only.
+is measured around the solver call only, and a solution that does not
+re-evaluate as reported, or costs more than the budget, is an error row.
 
 Output: a fixed-schema CSV (instance, ratio, algorithm, seed, profit,
 cost, budget, time_s, extra) plus a markdown table with one row per
@@ -90,6 +93,10 @@ def _load_cached(source) -> Instance:
     return inst
 
 
+class ConfigError(ValueError):
+    pass
+
+
 # -- solver registry --------------------------------------------------------
 
 # algorithm -> (params class, fields it pins, field reported as effort, call).
@@ -111,7 +118,7 @@ _Param = namedtuple("_Param", "field key flag type help")
 
 def _solver(algo: str) -> tuple:
     if algo not in _SOLVERS:
-        raise ValueError(f"unknown algorithm {algo!r}; valid: {', '.join(ALGORITHMS)}")
+        raise ConfigError(f"unknown algorithm {algo!r}; valid: {', '.join(ALGORITHMS)}")
     return _SOLVERS[algo]
 
 
@@ -164,8 +171,12 @@ def solve_one(instance: Instance, budget_value: int, algo: str, seed: int,
 # -- configuration ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchConfig:
+    """One bench matrix; building it (``dataclasses.replace`` too) raises
+    ConfigError on any value that could not run.  Names and ratios key the
+    rows and dump files, and a repeated value would run its cells twice."""
+
     sources: list
     ratios: list[str]
     seeds: list[int]
@@ -175,36 +186,38 @@ class BenchConfig:
     dump_dir: str | None = None
     jobs: int = 1
 
-
-class ConfigError(ValueError):
-    pass
-
-
-def _check_matrix(sources, ratios, seeds, algorithms) -> None:
-    """Raise ConfigError unless each ratio is a decimal in (0, 1] and no
-    source name, ratio (as a fraction), seed or algorithm is listed twice:
-    names and ratios key the result rows and name the dump files, and a
-    repeated value would run its cells twice."""
-    for r in ratios:
-        if "/" in str(r):
-            raise ConfigError(f"ratio {r!r} must be a decimal number, such as 0.5")
-        try:
-            frac = Fraction(r)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"cannot parse ratio {r!r}") from None
-        if not 0 < frac <= 1:
-            raise ConfigError(f"ratio {r} outside (0, 1]")
-    seen = set()
-    for src in sources:
-        if src.name in seen:
-            raise ConfigError(f"two instance sources are named {src.name!r}; "
-                              "their rows and dump files would mix")
-        seen.add(src.name)
-    for what, values, keys in (("ratio", ratios, [Fraction(r) for r in ratios]),
-                               ("seed", seeds, seeds), ("algorithm", algorithms, algorithms)):
-        for i, key in enumerate(keys):
-            if key in keys[:i]:
-                raise ConfigError(f"{what} {values[i]!r} is listed twice")
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
+        if not self.sources:
+            raise ConfigError("config lists no instances (generate/files)")
+        if not self.ratios or not self.seeds or not self.algorithms:
+            raise ConfigError("config needs at least one ratio, seed, and algorithm")
+        for a in self.algorithms:
+            _solver(a)  # raises for an unknown name
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
+        for r in self.ratios:
+            if "/" in str(r):
+                raise ConfigError(f"ratio {r!r} must be a decimal number, such as 0.5")
+            try:
+                frac = Fraction(r)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"cannot parse ratio {r!r}") from None
+            if not 0 < frac <= 1:
+                raise ConfigError(f"ratio {r} outside (0, 1]")
+        seen = set()
+        for src in self.sources:
+            if src.name in seen:
+                raise ConfigError(f"two instance sources are named {src.name!r}; "
+                                  "their rows and dump files would mix")
+            seen.add(src.name)
+        for what, values, keys in (("ratio", self.ratios, [Fraction(r) for r in self.ratios]),
+                                   ("seed", self.seeds, self.seeds),
+                                   ("algorithm", self.algorithms, self.algorithms)):
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ConfigError(f"{what} {values[i]!r} is listed twice")
 
 
 def _section_params(algo: str, section) -> object:
@@ -217,9 +230,13 @@ def _section_params(algo: str, section) -> object:
 
 
 def parse_bench_config(path) -> BenchConfig:
-    """Read a bench config file; paths are resolved against its directory."""
-    cfg = configparser.ConfigParser()
-    read = cfg.read(path)
+    """Read a UTF-8 bench config file, ``%`` taken literally; paths are
+    resolved against its directory."""
+    cfg = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cfg.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"malformed config file {path}: {' '.join(str(e).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if "bench" not in cfg:
@@ -245,27 +262,16 @@ def parse_bench_config(path) -> BenchConfig:
         if not p.is_absolute():
             p = base / p
         sources.append(FileSource(str(p)))
-    if not sources:
-        raise ConfigError("config lists no instances (generate/files)")
 
     ratios = b.get("ratios", "0.3 0.5 0.7").split()
     try:
         seeds = [int(s) for s in b.get("seeds", "1").split()]
     except ValueError:
         raise ConfigError("seeds must be integers") from None
-    if any(s < 0 for s in seeds):
-        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
     # by default all but exact, which refuses large instances
     algorithms = b.get("algorithms", " ".join(a for a in ALGORITHMS if a != "exact")).split()
     sections = [s for s in cfg.sections() if s != "bench"]
-    for a in algorithms + sections:
-        if a not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {a!r}; valid: {', '.join(ALGORITHMS)}")
-    if not ratios or not seeds or not algorithms:
-        raise ConfigError("config needs at least one ratio, seed, and algorithm")
-    _check_matrix(sources, ratios, seeds, algorithms)
-
-    # unlisted sections are parsed too, so a bad value shows before its algorithm is listed
+    # every section is parsed: an unknown one, or a bad value in an unlisted one, shows now
     params = {a: _section_params(a, cfg[a] if a in cfg else {}) for a in algorithms + sections}
     params = {a: params[a] for a in algorithms}
 
@@ -279,8 +285,6 @@ def parse_bench_config(path) -> BenchConfig:
         jobs = int(b.get("jobs", "1"))
     except ValueError:
         raise ConfigError("jobs must be an integer") from None
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     return BenchConfig(sources=sources, ratios=ratios, seeds=seeds,
                        algorithms=algorithms, params=params, out=out,
                        dump_dir=dump_dir, jobs=jobs)
@@ -309,15 +313,13 @@ def _run_cell(args) -> tuple[RunRecord, dict | None]:
         t0 = time.perf_counter()
         sol, effort = solve_one(inst, bud, algo, seed, params)
         elapsed = time.perf_counter() - t0
-        check = evaluate(inst, sol.selected)
-        if check.profit != sol.profit or check.cost != sol.cost:
-            raise AssertionError("solver returned an inconsistent solution")
-        if sol.cost > bud:
-            raise AssertionError(f"solver returned cost {sol.cost}, which exceeds budget {bud}")
+        dump = _dump_payload(name, ratio, algo, seed, bud, sol)
+        problems = verify_dump(inst, dump)
+        if problems:
+            raise AssertionError("; ".join(problems))
         rec = RunRecord(name, ratio, algo, seed, sol.profit, sol.cost, bud,
                         elapsed, effort)
-        dump = _dump_payload(name, ratio, algo, seed, bud, sol) if want_dump else None
-        return rec, dump
+        return rec, dump if want_dump else None
     except Exception as exc:  # noqa: BLE001 - failed cells must not kill the matrix
         rec = RunRecord(name, ratio, algo, seed, None, None, None, 0.0, None,
                         error=f"{type(exc).__name__}: {exc}")
@@ -327,14 +329,8 @@ def _run_cell(args) -> tuple[RunRecord, dict | None]:
 def run_bench(config: BenchConfig) -> list[RunRecord]:
     """Run the whole matrix and write CSV/markdown/dumps if configured.
 
-    Before any cell runs, ``config.jobs`` below 1, a ratio that is no decimal
-    in (0, 1], two sources with one name and a ratio, seed or algorithm
-    listed twice raise ``ValueError``.  Instances are loaded afresh for
-    each call.
+    Instances are loaded afresh for each call.
     """
-    if config.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {config.jobs}")
-    _check_matrix(config.sources, config.ratios, config.seeds, config.algorithms)
     _instance_cache.clear()  # a file may have changed since an earlier run
     cells = sorted(
         ((src, ratio, algo, seed, config.params.get(algo), config.dump_dir is not None)

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .baselines import TooLargeError
@@ -138,6 +139,12 @@ def _parse_ratio(inst, text):
         raise UsageError(f"bad --budget-ratio: {e}") from None
 
 
+def _mismatch(problems) -> int:
+    for p in problems:
+        print(f"mismatch: {p}", file=sys.stderr)
+    return EXIT_DATA
+
+
 def _cmd_solve(args) -> int:
     params = _solver_params(args)
     if args.seed < 0:
@@ -147,6 +154,11 @@ def _cmd_solve(args) -> int:
     started = time.perf_counter()
     sol, _ = solve_one(inst, bud, args.algo, args.seed, params)
     wall = time.perf_counter() - started
+    payload = _dump_payload(args.instance, str(args.budget_ratio), args.algo,
+                            args.seed, bud, sol)
+    problems = verify_dump(inst, payload)
+    if problems:
+        return _mismatch(problems)
     print(f"instance: {args.instance}")
     print(f"algorithm: {args.algo} (seed {args.seed})")
     print(f"budget: {bud} (ratio {args.budget_ratio} of total {inst.total_cost})")
@@ -156,23 +168,15 @@ def _cmd_solve(args) -> int:
     # wall time goes to stderr so repeated runs give identical stdout
     print(f"time: {wall:.3f}s", file=sys.stderr)
     if args.dump:
-        payload = _dump_payload(args.instance, str(args.budget_ratio), args.algo,
-                                args.seed, bud, sol)
         Path(args.dump).write_text(json.dumps(payload, indent=1) + "\n",
                                    encoding="utf-8")
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    config = parse_bench_config(args.config)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-        config.jobs = args.jobs
-    if args.out is not None:
-        config.out = args.out
-    if args.dump is not None:
-        config.dump_dir = args.dump
+    flags = {"jobs": args.jobs, "out": args.out, "dump_dir": args.dump}
+    config = replace(parse_bench_config(args.config),
+                     **{k: v for k, v in flags.items() if v is not None})
     records = run_bench(config)
     failed = [r for r in records if r.error]
     for r in failed:
@@ -197,9 +201,7 @@ def _cmd_verify(args) -> int:
             problems.append(f"budget {dump.get('budget')} is not the ratio "
                             f"{args.budget_ratio} budget ({expect})")
     if problems:
-        for p in problems:
-            print(f"mismatch: {p}", file=sys.stderr)
-        return EXIT_DATA
+        return _mismatch(problems)
     sol = evaluate(inst, dump["selected"])
     print(f"ok: profit {sol.profit}, cost {sol.cost} within budget "
           f"{dump.get('budget', 'n/a')}")

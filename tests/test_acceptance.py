@@ -18,7 +18,7 @@ import numpy as np
 import bruteforce as bf
 from nrpbench import (AcoParams, FhcParams, GraspParams, InvalidInstanceError, SaParams, budget,
                       builtin_spec, generate, rng, run, solve_one)
-from nrpbench.aco import selection_probabilities
+from nrpbench.aco import _selection_probabilities
 from nrpbench.local_search import fhc
 
 RATIOS = ("0.3", "0.5", "0.7")
@@ -97,7 +97,7 @@ def test_criterion_4_selection_probabilities_normalize(criterion):
         k = int(gen.integers(1, m + 1))
         cands = gen.choice(m, size=k, replace=False)
         alpha, beta = gen.uniform(0.0, 3.0, size=2)
-        probs = selection_probabilities(tau ** float(alpha) * eta ** float(beta), cands)
+        probs = _selection_probabilities(tau ** float(alpha) * eta ** float(beta), cands)
         worst = max(worst, abs(float(probs.sum()) - 1.0))
     criterion(4, worst <= 1e-9,
               f"max |sum(p) - 1| over 10^4 random (tau, eta, candidates) "

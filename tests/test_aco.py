@@ -4,9 +4,9 @@ import pytest
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, budget, builtin_spec, generate, make_instance,
                       rng, solve_one)
-from nrpbench.aco import (PheromoneState, construct_solution, deposit, evaporate,
-                          heuristic_info, init_pheromone, roulette_select, run,
-                          selection_probabilities)
+from nrpbench.aco import (PheromoneState, _roulette_select, _selection_probabilities,
+                          construct_solution, deposit, evaporate, heuristic_info,
+                          init_pheromone, run)
 
 
 def test_init_pheromone(toy):
@@ -53,26 +53,26 @@ def test_colony_solves_degenerate_instances(algo):
 
 
 def test_selection_probabilities_symmetric():
-    probs = selection_probabilities(np.array([0.5, 0.5]), np.array([0, 1]))
+    probs = _selection_probabilities(np.array([0.5, 0.5]), np.array([0, 1]))
     assert np.allclose(probs, [0.5, 0.5])
 
 
 def test_selection_probabilities_ratio():
     tau, eta = np.array([0.5, 0.5]), np.array([2.0, 1.0])
-    probs = selection_probabilities(tau ** 1.0 * eta ** 1.0, np.array([0, 1]))
+    probs = _selection_probabilities(tau ** 1.0 * eta ** 1.0, np.array([0, 1]))
     assert np.allclose(probs, [2 / 3, 1 / 3])
 
 
 def test_selection_probabilities_restrict_to_candidates():
     weights = np.array([0.9, 0.5, 0.2, 0.4])
     # one entry per candidate, in the candidates' order
-    assert selection_probabilities(weights, np.array([2])).tolist() == [1.0]
-    assert np.allclose(selection_probabilities(weights, np.array([3, 1])), [4 / 9, 5 / 9])
+    assert _selection_probabilities(weights, np.array([2])).tolist() == [1.0]
+    assert np.allclose(_selection_probabilities(weights, np.array([3, 1])), [4 / 9, 5 / 9])
 
 
 def test_selection_probabilities_uniform_when_exponents_zero():
     tau, eta = np.array([0.9, 0.5, 0.2]), np.array([1.0, 2.0, 3.0])
-    probs = selection_probabilities(tau ** 0.0 * eta ** 0.0, np.array([0, 1, 2]))
+    probs = _selection_probabilities(tau ** 0.0 * eta ** 0.0, np.array([0, 1, 2]))
     assert np.allclose(probs, [1 / 3, 1 / 3, 1 / 3])
 
 
@@ -80,21 +80,21 @@ def test_selection_probabilities_uniform_when_exponents_zero():
 def test_selection_probabilities_uniform_when_the_total_is_zero_or_not_finite(bad):
     # zero: a trail evaporated to nothing; inf and NaN: weights that overflowed
     weights = np.array([bad, 0.0, 0.0, 1.0, 3.0])
-    assert selection_probabilities(weights, np.array([0, 1, 2])).tolist() == [1 / 3] * 3
+    assert _selection_probabilities(weights, np.array([0, 1, 2])).tolist() == [1 / 3] * 3
     # only the candidates' own total decides
-    assert selection_probabilities(weights, np.array([4, 3])).tolist() == [0.75, 0.25]
+    assert _selection_probabilities(weights, np.array([4, 3])).tolist() == [0.75, 0.25]
 
 
 def test_roulette_select():
     probs = np.array([0.2, 0.3, 0.5])
-    assert roulette_select(probs, 0.6) == 3
-    assert roulette_select(probs, 0.0) == 1
-    assert roulette_select(probs, 0.2) == 1  # cumulative 0.2 >= 0.2
-    assert roulette_select(probs, 0.21) == 2
-    assert roulette_select(np.array([1.0]), 0.99) == 1
+    assert _roulette_select(probs, 0.6) == 3
+    assert _roulette_select(probs, 0.0) == 1
+    assert _roulette_select(probs, 0.2) == 1  # cumulative 0.2 >= 0.2
+    assert _roulette_select(probs, 0.21) == 2
+    assert _roulette_select(np.array([1.0]), 0.99) == 1
     # rounding overshoot falls back to the last positive candidate
-    assert roulette_select(probs, 1.0 + 1e-12) == 3
-    assert roulette_select(np.array([0.0, 0.5, 0.0, 0.5]), 0.7) == 4
+    assert _roulette_select(probs, 1.0 + 1e-12) == 3
+    assert _roulette_select(np.array([0.0, 0.5, 0.0, 0.5]), 0.7) == 4
 
 
 def test_evaporate():

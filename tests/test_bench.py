@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 
@@ -30,6 +31,12 @@ def test_default_params():
     assert default_params("exact") is None
     with pytest.raises(ValueError):
         default_params("tabu")
+
+
+def test_solve_one_refuses_an_unknown_algorithm(toy):
+    # the registry's ConfigError is a ValueError, as it was before configs checked themselves
+    with pytest.raises(ValueError, match="unknown algorithm 'tabu'"):
+        solve_one(toy, 7, "tabu", 1)
 
 
 def test_solve_one_effort_reporting(toy):
@@ -176,19 +183,17 @@ def test_parse_config_errors(tmp_path):
 
 
 def _toy_config(toy_file, tmp_path, **overrides):
-    cfg = BenchConfig(
-        sources=[FileSource(str(toy_file))],
-        ratios=["0.5", "1.0"],
-        seeds=[1, 2],
-        algorithms=["fhc", "exact", "sa"],
-        params={"fhc": FhcParams(restarts=5), "exact": None,
-                "sa": SaParams(lm_beta=0.5)},
-        out=str(tmp_path / "out" / "run"),
-        dump_dir=str(tmp_path / "dumps"),
-    )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return BenchConfig(**{
+        "sources": [FileSource(str(toy_file))],
+        "ratios": ["0.5", "1.0"],
+        "seeds": [1, 2],
+        "algorithms": ["fhc", "exact", "sa"],
+        "params": {"fhc": FhcParams(restarts=5), "exact": None,
+                   "sa": SaParams(lm_beta=0.5)},
+        "out": str(tmp_path / "out" / "run"),
+        "dump_dir": str(tmp_path / "dumps"),
+        **overrides,
+    })
 
 
 def test_run_bench_matrix(toy, toy_file, tmp_path):
@@ -286,10 +291,43 @@ def test_run_bench_pool_never_outgrows_the_matrix(toy_file, tmp_path, monkeypatc
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_run_bench_refuses_fewer_than_one_job(toy_file, tmp_path, jobs):
     # the Python API keeps the front ends' bound instead of running serially
-    config = _toy_config(toy_file, tmp_path, jobs=jobs)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        run_bench(config)
+        run_bench(_toy_config(toy_file, tmp_path, jobs=jobs))
     assert not (tmp_path / "out").exists() and not (tmp_path / "dumps").exists()
+
+
+@pytest.mark.parametrize("change, words", [
+    ({"jobs": 0}, "jobs must be at least 1, got 0"),
+    ({"jobs": -3}, "jobs must be at least 1, got -3"),
+    ({"sources": []}, "lists no instances"),
+    ({"ratios": []}, "at least one ratio"),
+    ({"seeds": []}, "at least one ratio"),
+    ({"algorithms": []}, "at least one ratio"),
+    ({"algorithms": ["fhc", "tabu"]}, "unknown algorithm 'tabu'"),
+    ({"seeds": [1, -1]}, "seeds must be non-negative, got -1"),
+    ({"ratios": ["1/2"]}, "must be a decimal number"),
+    ({"ratios": ["half"]}, "cannot parse ratio 'half'"),
+    ({"ratios": ["0"]}, "outside"),
+    ({"ratios": ["1.5"]}, "outside"),
+    ({"sources": [FileSource("a/x.txt"), FileSource("b/x.txt")]}, "named 'x'"),
+    ({"ratios": ["0.5", "0.50"]}, "ratio '0.50' is listed twice"),
+    ({"seeds": [1, 1]}, "seed 1 is listed twice"),
+    ({"algorithms": ["fhc", "fhc"]}, "algorithm 'fhc' is listed twice"),
+])
+def test_bench_config_checks_itself(toy_file, tmp_path, change, words):
+    with pytest.raises(ConfigError, match=words):
+        _toy_config(toy_file, tmp_path, **change)
+    assert not (tmp_path / "out").exists() and not (tmp_path / "dumps").exists()
+
+
+def test_bench_config_copies_are_checked_and_fields_are_frozen(toy_file, tmp_path):
+    config = _toy_config(toy_file, tmp_path)
+    assert dataclasses.replace(config, jobs=3).jobs == 3
+    with pytest.raises(ConfigError, match="jobs must be at least 1"):
+        dataclasses.replace(config, jobs=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.jobs = 0
+    assert config.jobs == 1
 
 
 def test_run_bench_refuses_ambiguous_outputs(toy, toy_file, tmp_path):
@@ -373,8 +411,7 @@ def test_over_budget_results_are_error_rows(toy, toy_file, tmp_path, monkeypatch
     assert "1/2 runs completed" in out and "Traceback" not in err
     rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
     assert rows[0].startswith("toy,0.5,fhc,1,,,,")
-    assert rows[0].endswith(",error:AssertionError: solver returned cost 14; "
-                            "which exceeds budget 7")
+    assert rows[0].endswith(",error:AssertionError: cost 14 exceeds budget 7")
     assert rows[1].startswith("toy,1.0,fhc,1,24,14,14,")
 
 

@@ -13,8 +13,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nrpbench import (ConfigError, InvalidInstanceError, cli, make_instance,
-                      parse_bench_config, read_instance, write_instance_file)
+from nrpbench import (ConfigError, InvalidInstanceError, bench, cli, evaluate,
+                      make_instance, parse_bench_config, read_instance, write_instance_file)
 from nrpbench.bench import ALGORITHMS, default_params
 
 
@@ -172,6 +172,21 @@ def test_solve_sa_with_default_parameters(toy_file):
     rc, out, _ = run_cli("solve", toy_file, "--algo", "sa", "--seed", "3",
                          "--budget-ratio", "5/7")
     assert rc == 0 and "budget: 10" in out and "profit:" in out
+
+
+def test_solve_refuses_a_solution_that_fails_its_check(toy, toy_file, tmp_path, monkeypatch):
+    # a solver result over budget exits 2 with mismatch lines, before anything is printed
+    over = evaluate(toy, [1, 2, 3])  # cost 14 > budget 7
+    cls, pinned, effort, _call = bench._SOLVERS["fhc"]
+    monkeypatch.setitem(bench._SOLVERS, "fhc", (cls, pinned, effort, lambda *a: over))
+    dump = tmp_path / "sol.json"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["solve", str(toy_file), "--algo", "fhc", "--budget-ratio", "0.5",
+                       "--dump", str(dump)])
+    assert rc == 2 and out.getvalue() == ""
+    assert err.getvalue() == "mismatch: cost 14 exceeds budget 7\n"
+    assert not dump.exists()
 
 
 def test_solve_guard_refusal(tmp_path):
@@ -336,6 +351,30 @@ def test_bench_config_errors(tmp_path):
         assert not (tmp_path / "r.csv").exists() and not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("text", [
+    b"generate = NRP-1@1\n",  # no section header
+    b"[bench]\ngenerate = NRP-1@1\ngenerate = NRP-1@2\n",  # a key given twice
+    b"[bench]\ngenerate = NRP-1@1\n[bench]\nseeds = 2\n",  # a section given twice
+    b"[bench]\ngenerate = NRP-1@1\nratios\n",  # a line that is no key = value
+    b"[bench]\ngenerate = NRP-1@1 # \xff\n",  # not UTF-8
+], ids=["no-header", "key-twice", "section-twice", "no-value", "not-utf8"])
+def test_bench_malformed_config_file_is_a_config_error(tmp_path, text):
+    cfg = tmp_path / "bench.ini"
+    cfg.write_bytes(text + b"algorithms = fhc\nout = r\n")
+    rc, out, err = run_cli("bench", cfg)
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("config error:") and str(cfg) in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_bench_config_values_take_percent_literally(toy_file, tmp_path):
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text("[bench]\nfiles = toy.txt\nratios = 0.5\nalgorithms = fhc\nout = r%1\n")
+    rc, out, err = run_cli("bench", cfg)
+    assert rc == 0 and "1/1 runs completed" in out and "Traceback" not in err
+    assert (tmp_path / "r%1.csv").exists()
+
+
 def test_bench_jobs_flag_overrides(toy_file, tmp_path):
     cfg = tmp_path / "bench.ini"
     cfg.write_text("[bench]\nfiles = toy.txt\nratios = 0.5\nseeds = 1 2 3\n"
@@ -350,8 +389,8 @@ def test_bench_jobs_flag_overrides(toy_file, tmp_path):
 def test_bench_refuses_fewer_than_one_job(tmp_path):
     # both front ends refuse before any cell runs
     cfg = tmp_path / "bench.ini"
-    for jobs_line, flags, words in (("", ["--jobs", "0"], "usage error: --jobs"),
-                                    ("", ["--jobs", "-3"], "usage error: --jobs"),
+    for jobs_line, flags, words in (("", ["--jobs", "0"], "config error: jobs"),
+                                    ("", ["--jobs", "-3"], "config error: jobs"),
                                     ("jobs = 0\n", [], "config error: jobs"),
                                     ("jobs = -3\n", [], "config error: jobs")):
         cfg.write_text("[bench]\ngenerate = NRP-1@1\nalgorithms = fhc\n" + jobs_line)

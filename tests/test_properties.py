@@ -9,7 +9,7 @@ import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, FhcParams, GraspParams, SaParams,
                       closure, evaluate, make_instance, read_instance, rng, solve_one,
                       write_instance)
-from nrpbench.aco import roulette_select
+from nrpbench.aco import _roulette_select
 from nrpbench.baselines import _top_k
 from nrpbench.local_search import _may_swap, random_feasible, sweep_improve
 
@@ -239,11 +239,11 @@ def test_roulette_matches_the_positive_filter(p, uniforms):
     if not (p > 0).any():
         for r in (0.0, 0.5):
             with pytest.raises(ValueError):
-                roulette_select(p, r)
+                _roulette_select(p, r)
         return
     cums = p.cumsum().tolist()
     total = cums[-1]
     rs = [0.0, total * (1 + 1e-12), *cums, *(u * total for u in uniforms),
           *(np.nextafter(c, 0.0) for c in cums), *(np.nextafter(c, 2.0 * total) for c in cums)]
     for r in rs:
-        assert roulette_select(p, r) == _positive_roulette(p, r), (p.tolist(), r)
+        assert _roulette_select(p, r) == _positive_roulette(p, r), (p.tolist(), r)
