@@ -4,7 +4,7 @@ A tour of the five solvers (plus the exact oracle)
 
 The same instance and budget, handed to every algorithm in the box:
 
-* ``exact``  -- branch-and-bound over customer subsets (small m only)
+* ``exact``  -- the integer program, proven optimal by HiGHS
 * ``fhc``    -- random starts + first-found hill climbing
 * ``grasp``  -- greedy-randomized construction + the same climb
 * ``sa``     -- single-flip simulated annealing, slow cooling
@@ -18,8 +18,8 @@ from nrpbench import (AcoParams, FhcParams, GenSpec, GraspParams, LevelSpec,
                       SaParams, budget, builtin_spec, exact, generate, run,
                       solve_one)
 
-# A mid-sized custom recipe: big enough that the solvers disagree,
-# small enough (20 customers) that the exact answer takes a moment.
+# A mid-sized custom recipe: big enough (20 customers) that the solvers
+# disagree, small enough that the whole tour runs in seconds.
 recipe = GenSpec(
     name="demo",
     levels=(LevelSpec(6, 1, 5, 3), LevelSpec(10, 2, 8, 2), LevelSpec(14, 5, 10, 0)),

@@ -4,8 +4,8 @@ Models the problem of picking a set of customers whose requested
 requirements (plus all transitive prerequisites) fit a cost budget while
 maximizing total profit.  Ships a seeded instance generator, an ant
 colony solver with optional hill-climbing hybridization, three classic
-baselines, a small exact solver, and a benchmark harness that compares
-them on a reproducible run matrix.
+baselines, an exact integer-programming oracle, and a benchmark harness
+that compares them on a reproducible run matrix.
 
 The package namespace holds the documented API; solver steps and other
 internals are imported from their modules (``nrpbench.aco``,

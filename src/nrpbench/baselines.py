@@ -20,15 +20,17 @@ earlier once it is frozen: no unselected customer fits and the
 temperature is too low for any drop to pass, so every later attempt
 would be refused and the result is the same.
 
-The exact solver enumerates customer subsets depth-first in id order
-with a remaining-profit bound, flipping customers through the same
-:class:`~nrpbench.model.CoverTracker`, and refuses instances with more
-than :data:`EXACT_GUARD` customers.
+The exact solver solves the integer program of Bagnall, Rayward-Smith &
+Whittley (IST 43(14), 2001) with HiGHS, through ``scipy.optimize.milp``,
+on one thread and with no time limit: one binary x_i per customer, one
+y_r in [0, 1] per requirement, x_i <= y_r over each customer's closure,
+and sum(c_r * y_r) <= budget.  scipy is imported on the first call only.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,14 +40,14 @@ from .local_search import improve, random_feasible
 from .model import CoverTracker, Instance, Solution, _construct
 
 
-# the most customers :func:`exact` enumerates
-EXACT_GUARD = 25
+# the most branch-and-bound nodes :func:`exact` lets HiGHS explore
+EXACT_NODE_LIMIT = 10_000
 # GRASP's threshold: the key this many candidate-list lengths deep
 _RCL_DEPTH = 2
 
 
 class TooLargeError(Exception):
-    """Instance exceeds the exact solver's enumeration guard."""
+    """The exact solver stopped at its node limit without proving an optimum."""
 
 
 @dataclass
@@ -226,39 +228,31 @@ def _frozen(cover: CoverTracker, budget: int, profits: np.ndarray, temp: float) 
 
 
 def exact(instance: Instance, budget: int) -> Solution:
-    """Optimal solution by depth-first subset enumeration on one :class:`CoverTracker`.
-
-    Customers are decided in id order, a fitting add (then its drop) before
-    the skip.  A branch whose profit plus every later customer's cannot beat
-    the best is cut, and only a strictly better profit replaces the best, so
-    ties go to the lexicographically smallest id set.  Refuses instances
-    with more than :data:`EXACT_GUARD` customers.
+    """An optimal solution, proven by HiGHS; among tied optima one of them,
+    the same one on every run.  Raises :class:`TooLargeError` when HiGHS
+    stops without a proof, which with no time limit means at its node limit.
     """
-    m = instance.n_customers
-    if m > EXACT_GUARD:
-        raise TooLargeError(f"exact solver limited to {EXACT_GUARD} customers, instance has {m}")
+    m, n = instance.n_customers, instance.n_requirements
+    if m == 0:  # milp refuses a program with no variables
+        return CoverTracker(instance).solution()
+    from scipy.optimize import milp
+    from scipy.sparse import coo_array
 
-    profits = instance.profit_vector.tolist()
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + profits[i]
-
-    cover = CoverTracker(instance)
-    best_profit = 0
-    best_sel = cover.selected.copy()
-
-    def dfs(i: int, profit: int) -> None:
-        nonlocal best_profit, best_sel
-        if profit > best_profit:
-            best_profit = profit
-            best_sel = cover.selected.copy()
-        if i == m or profit + suffix[i] <= best_profit:
-            return
-        if cover.cost + cover.marginal[i] <= budget:
-            cover.add(i)
-            dfs(i + 1, profit + profits[i])
-            cover.drop(i)
-        dfs(i + 1, profit)
-
-    dfs(0, 0)
-    return CoverTracker(instance, best_sel.nonzero()[0] + 1).solution()
+    # closure entry e (customer row[e], requirement req[e]) gives x_row - y_req <= 0
+    row, req = instance._csr_row, instance._csr_req
+    links = coo_array((np.repeat([1.0, -1.0], row.size),
+                       (np.tile(np.arange(row.size), 2), np.concatenate([row, m + req]))),
+                      shape=(row.size, m + n))
+    spend = np.concatenate([np.zeros(m), instance._cost_f64])
+    with warnings.catch_warnings():
+        # milp passes options it does not know ("threads") on to HiGHS verbatim
+        warnings.filterwarnings("ignore", message="Unrecognized options", category=RuntimeWarning)
+        res = milp(-np.concatenate([instance.profit_vector, np.zeros(n)]),
+                   integrality=np.concatenate([np.ones(m), np.zeros(n)]), bounds=(0, 1),
+                   constraints=[(links, -np.inf, 0), (spend, -np.inf, budget)],
+                   options={"mip_rel_gap": 0, "threads": 1, "presolve": False,
+                            "node_limit": EXACT_NODE_LIMIT})
+    if res.status != 0:
+        raise TooLargeError(f"no optimum proven within the node limit of {EXACT_NODE_LIMIT}, "
+                            f"HiGHS says: {res.message}")
+    return CoverTracker(instance, np.flatnonzero(res.x[:m] > 0.5) + 1).solution()

@@ -243,6 +243,9 @@ def parse_bench_config(path) -> BenchConfig:
         raise ConfigError("config needs a [bench] section")
     base = Path(path).resolve().parent
     b = cfg["bench"]
+    for key in b:
+        if key not in ("generate", "files", "ratios", "seeds", "algorithms", "out", "dump", "jobs"):
+            raise ConfigError(f"[bench] has no key {key!r}")
 
     sources: list = []
     for token in b.get("generate", "").split():
@@ -268,7 +271,7 @@ def parse_bench_config(path) -> BenchConfig:
         seeds = [int(s) for s in b.get("seeds", "1").split()]
     except ValueError:
         raise ConfigError("seeds must be integers") from None
-    # by default all but exact, which refuses large instances
+    # by default all but exact, which takes seconds on NRP-4 and may hit its node limit
     algorithms = b.get("algorithms", " ".join(a for a in ALGORITHMS if a != "exact")).split()
     sections = [s for s in cfg.sections() if s != "bench"]
     # every section is parsed: an unknown one, or a bad value in an unlisted one, shows now
@@ -426,7 +429,8 @@ def _check_dump_shape(dump) -> None:
             raise ValueError(f"malformed dump: no {key!r} field")
     for key, value in dump.items():
         if key in ("selected", "covered"):
-            ok = isinstance(value, list) and all(map(_is_int, value))
+            ok = (isinstance(value, list) and all(map(_is_int, value))
+                  and len({*value}) == len(value))  # each id once, as dumps are written
         else:
             ok = key not in ("profit", "cost", "budget") or _is_int(value)
         if not ok:

@@ -24,8 +24,8 @@ customer's marginal add cost, kept up to date move by move.  A flip
 reads and writes single entries through memoryviews of the tracker's own
 count and marginal arrays, which are never rebound, so the numpy code
 reading them sees each flip with no copy or sync step.  The
-constructions, both climbs, the annealer's chain and the exact DFS all
-flip customers through it, and :meth:`CoverTracker.solution` reads its
+constructions, both climbs and the annealer's chain all flip
+customers through it, and :meth:`CoverTracker.solution` reads its
 result from that state.  :func:`evaluate` works a selection out from
 scratch and is the independent check of the tracker.  Both read only
 these lists: no solver path builds a dense customer x requirement array

@@ -1,6 +1,6 @@
 import pytest
 
-from nrpbench import make_instance
+from nrpbench import baselines, builtin_spec, generate, make_instance, write_instance_file
 
 # filled by test_acceptance via the `criterion` fixture, printed at the end
 ACCEPTANCE_LINES: list[str] = []
@@ -14,6 +14,19 @@ def toy():
     """
     return make_instance([5, 3, 4, 2], [(1, 2), (3, 4)],
                          [(10, [2]), (8, [3]), (6, [4])])
+
+
+@pytest.fixture
+def node_limited_nrp1(tmp_path, monkeypatch):
+    """NRP-1@1 written to ``big.txt``, with ``exact``'s node limit cut to 1.
+
+    At ratio 0.5 HiGHS needs 10 nodes to prove that instance, so ``exact``
+    refuses it with ``TooLargeError``.
+    """
+    monkeypatch.setattr(baselines, "EXACT_NODE_LIMIT", 1)
+    path = tmp_path / "big.txt"
+    write_instance_file(generate(builtin_spec("NRP-1"), 1), path)
+    return path
 
 
 @pytest.fixture(scope="session")

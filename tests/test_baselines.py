@@ -1,12 +1,14 @@
 import importlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import bruteforce as bf
-from nrpbench import (CoverTracker, GraspParams, SaParams, TooLargeError, budget,
-                      builtin_spec, exact, generate, make_instance, rng)
+from nrpbench import (CoverTracker, GraspParams, SaParams, budget,
+                      builtin_spec, evaluate, exact, generate, make_instance, rng)
 from nrpbench.baselines import (_calibrate_temp, _frozen, grasp, grasp_construct, lundy_mees,
                                 sa)
 from nrpbench.local_search import random_feasible
@@ -307,29 +309,54 @@ def test_exact_toy(toy):
     assert exact(toy, 4).selected == {2}
 
 
-def test_exact_breaks_ties_lexicographically():
+def test_exact_picks_one_of_tied_optima():
+    # either customer alone is optimal; which one HiGHS returns is fixed, not chosen by id
     inst = make_instance([1, 1], [], [(5, [1]), (5, [2])])
-    assert exact(inst, 1).selected == {1}
+    sol = exact(inst, 1)
+    assert sol.selected in ({1}, {2}) and sol.profit == 5
+    assert exact(inst, 1) == sol
 
 
 def test_exact_matches_subset_enumeration():
-    # the selection itself, ties included, is the enumeration's lexicographic pick
+    # on profit; among tied optima the selection may differ from the enumeration's
     for seed in range(1, 61):
         inst = bf.random_small_instance(seed)
         for ratio in ("0.3", "0.5", "0.7"):
             b = budget(inst, ratio)
-            best_profit, best_sel = bf.brute_best(inst, b)
+            best_profit, _best_sel = bf.brute_best(inst, b)
             sol = exact(inst, b)
-            assert sol.profit == best_profit
-            assert tuple(sorted(sol.selected)) == best_sel
+            assert sol.profit == best_profit and sol.cost <= b
+            assert evaluate(inst, sol.selected) == sol
 
 
-def test_exact_guard():
-    inst = make_instance([1], [], [(1, [1])] * 25)
-    assert exact(inst, 1).profit == 25
+def test_exact_has_no_customer_guard():
+    # one past the old enumeration's 25-customer limit
     inst = make_instance([1], [], [(1, [1])] * 26)
-    with pytest.raises(TooLargeError):
-        exact(inst, 1)
+    assert exact(inst, 1).profit == 26
+
+
+def test_exact_proves_nrp1():
+    inst = generate(builtin_spec("NRP-1"), 1)
+    assert exact(inst, budget(inst, "0.5")).profit == 1111
+    assert exact(inst, budget(inst, "0.7")).profit == 1458
+
+
+def test_exact_on_degenerate_instances():
+    assert exact(make_instance([], [], []), 5).selected == frozenset()
+    # a customer that requests nothing is free profit, at any budget
+    free = make_instance([4, 3], [], [(5, []), (9, [1, 2])])
+    assert exact(free, 0).selected == {1}
+    assert exact(free, 6).selected == {1}
+    assert exact(free, 7).selected == {1, 2}
+    assert exact(make_instance([2], [], [(3, [1])]), 0).selected == frozenset()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy costs about 0.7 s and 47 MB to import; only exact's first call pays it
+    code = "import sys, nrpbench; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_heuristics_never_beat_exact():

@@ -173,6 +173,8 @@ def test_parse_config_errors(tmp_path):
         "samestem.ini": "[bench]\nfiles = a/x.txt b/x.txt\n",
         "genfile.ini": "[bench]\ngenerate = NRP-1@1\nfiles = NRP-1-s1.txt\n",
         "twice.ini": "[bench]\ngenerate = NRP-1@1 NRP-1@1\n",
+        # a misspelt key, which once ran the default seeds
+        "typokey.ini": "[bench]\ngenerate = NRP-1@1\nseed = 3\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -377,15 +379,13 @@ def test_run_bench_generated_source(tmp_path):
     assert rec.iterations_or_restarts == 2
 
 
-def test_run_bench_records_failed_cells(toy_file, tmp_path):
-    big = tmp_path / "big.txt"
-    write_instance_file(make_instance([1], [], [(1, [1])] * 30), big)
-    cfg = BenchConfig(sources=[FileSource(str(toy_file)), FileSource(str(big))],
-                      ratios=["1.0"], seeds=[1], algorithms=["exact"],
-                      params={"exact": None}, out=str(tmp_path / "r"))
+def test_run_bench_records_failed_cells(toy_file, node_limited_nrp1, tmp_path):
+    cfg = BenchConfig(sources=[FileSource(str(toy_file)), FileSource(str(node_limited_nrp1))],
+                      ratios=["0.5"], seeds=[1], algorithms=["exact"],
+                      params={"exact": None}, out=str(tmp_path / "r"), jobs=1)
     records = run_bench(cfg)
     by_name = {r.instance_name: r for r in records}
-    assert by_name["toy"].error is None and by_name["toy"].profit == 24
+    assert by_name["toy"].error is None and by_name["toy"].profit == 14
     bad = by_name["big"]
     assert bad.error is not None and "TooLargeError" in bad.error
     assert bad.profit is None
@@ -426,7 +426,7 @@ def test_verify_dump_reports_discrepancies(toy):
 
 
 @pytest.mark.parametrize("change", [{"budget": "10"}, {"covered": 3}, {"cost": 6.0},
-                                    {"selected": [True]}])
+                                    {"selected": [True]}, {"selected": [2, 3, 2]}])
 def test_verify_dump_rejects_malformed_fields(toy, change):
     good = {"selected": [2, 3], "covered": [3, 4], "profit": 14, "cost": 6,
             "budget": 10}

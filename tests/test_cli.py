@@ -13,7 +13,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nrpbench import (ConfigError, InvalidInstanceError, bench, cli, evaluate,
+import bruteforce as bf
+from nrpbench import (ConfigError, InvalidInstanceError, bench, budget, cli, evaluate, exact,
                       make_instance, parse_bench_config, read_instance, write_instance_file)
 from nrpbench.bench import ALGORITHMS, default_params
 
@@ -113,6 +114,22 @@ def test_solve_exact_toy(toy_file):
     assert "time:" in err and "time:" not in out
 
 
+def test_solve_exact_stdout_is_the_documented_lines(tmp_path):
+    # a cell on which HiGHS, with presolve on, also wrote a line of its own to stdout
+    inst = bf.random_small_instance(25)
+    path = tmp_path / "small.txt"
+    write_instance_file(inst, path)
+    bud = budget(inst, "0.7")
+    sol = exact(inst, bud)
+    expected = (f"instance: {path}\nalgorithm: exact (seed 0)\n"
+                f"budget: {bud} (ratio 0.7 of total {inst.total_cost})\n"
+                f"profit: {sol.profit}\ncost: {sol.cost}\n"
+                f"selected: {' '.join(map(str, sorted(sol.selected)))}\n")
+    first = run_cli("solve", path, "--algo", "exact", "--budget-ratio", "0.7")
+    second = run_cli("solve", path, "--algo", "exact", "--budget-ratio", "0.7")
+    assert first[:2] == second[:2] == (0, expected)
+
+
 def test_solve_repeat_stdout_identical(toy_file):
     first = run_cli("solve", toy_file, "--algo", "haco", "--seed", "5")
     second = run_cli("solve", toy_file, "--algo", "haco", "--seed", "5")
@@ -144,6 +161,7 @@ def test_solve_dump_then_verify(toy_file, tmp_path):
     {"profit": 0, "cost": 0},  # no selection
     [1, 2],  # not an object
     {"selected": ["a"], "profit": 0, "cost": 0},  # ids must be integers
+    {"selected": [2, 2], "profit": 8, "cost": 4},  # an id given twice
 ])
 def test_verify_malformed_dump_is_a_data_error(toy_file, tmp_path, dump):
     path = tmp_path / "bad.json"
@@ -189,11 +207,11 @@ def test_solve_refuses_a_solution_that_fails_its_check(toy, toy_file, tmp_path, 
     assert not dump.exists()
 
 
-def test_solve_guard_refusal(tmp_path):
-    big = tmp_path / "big.txt"
-    run_cli("gen", "NRP-1", "--seed", "1", "--out", big)
-    rc, _, err = run_cli("solve", big, "--algo", "exact")
-    assert rc == 3 and "refused" in err
+def test_solve_guard_refusal(node_limited_nrp1, capsys):
+    rc = cli.main(["solve", str(node_limited_nrp1), "--algo", "exact", "--budget-ratio", "0.5"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err.startswith("refused: no optimum proven within the node limit of 1,")
 
 
 def test_solve_usage_errors(toy_file):
@@ -310,13 +328,12 @@ restarts = 4
     assert header == "instance,ratio,algorithm,seed,profit,cost,budget,time_s,extra"
 
 
-def test_bench_failed_cell_exit_code(tmp_path):
-    big = tmp_path / "big.txt"
-    run_cli("gen", "NRP-1", "--seed", "1", "--out", big)
+def test_bench_failed_cell_exit_code(node_limited_nrp1, tmp_path, capsys):
     cfg = tmp_path / "bench.ini"
     cfg.write_text("[bench]\nfiles = big.txt\nratios = 0.5\nseeds = 1\n"
-                   "algorithms = exact\nout = r\n")
-    rc, out, err = run_cli("bench", cfg)
+                   "algorithms = exact\nout = r\njobs = 1\n")
+    rc = cli.main(["bench", str(cfg)])
+    out, err = capsys.readouterr()
     assert rc == 2 and "0/1 runs completed" in out
     assert "TooLargeError" in err
     assert (tmp_path / "r.csv").exists()  # partial results still land on disk
