@@ -30,6 +30,7 @@ and sum(c_r * y_r) <= budget.  scipy is imported on the first call only.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -253,6 +254,9 @@ def exact(instance: Instance, budget: int) -> Solution:
                    options={"mip_rel_gap": 0, "threads": 1, "presolve": False,
                             "node_limit": EXACT_NODE_LIMIT})
     if res.status != 0:
+        # scipy wraps statuses it does not map (the node limit's among them)
+        # in "...not recognized. (HiGHS Status 16: ...)": quote HiGHS's part
+        status = re.search(r"\((HiGHS Status [^)]*)\)", res.message)
         raise TooLargeError(f"no optimum proven within the node limit of {EXACT_NODE_LIMIT}, "
-                            f"HiGHS says: {res.message}")
+                            f"{status[1] if status else 'HiGHS says: ' + res.message}")
     return CoverTracker(instance, np.flatnonzero(res.x[:m] > 0.5) + 1).solution()

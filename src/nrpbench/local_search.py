@@ -22,11 +22,14 @@ The ant-colony hybrid uses this stronger operator on each constructed
 solution.  A pass first drops every customer that no swap could pay for:
 swapping j in for l costs at least cost + marginal(j) - freed(l), so j
 needs a selected l of lower profit that frees at least that excess over
-budget.  One sort of the selection by profit answers this for the whole
-order.  The pass then prices swaps for the rest in doubling blocks of the
-order and stops at the first block with a movable customer; since no
-movable customer is dropped, the move is the one a full pricing of the
-order would give.
+budget.  One running maximum of freed along the instance's profit order,
+which is ranked once when the instance is built, answers this for the
+whole order; the tracker keeps freed flip by flip.  The pass then prices
+swaps for the rest in doubling blocks of the order and stops at the first
+block with a movable customer; since no movable customer is dropped, the
+move is the one a full pricing of the order would give.  So a pass costs
+a few numpy calls over the customers plus the priced rows' closures, and
+nothing over every requirement.
 
 The standalone restart solver climbs with `improve` from independent
 random feasible selections and keeps the best result.
@@ -100,12 +103,11 @@ def _climb(instance: Instance, budget: int, start: Solution, draw) -> Solution:
     cover = CoverTracker(instance, start.selected)
     if cover.cost > budget:
         raise InfeasibleStartError(f"start cost {cover.cost} exceeds budget {budget}")
-    profits = instance.profit_vector
     while True:
         out_idx = (~cover.selected).nonzero()[0]
         if out_idx.size == 0:
             break
-        move = _first_move(cover, budget, profits, draw(out_idx))
+        move = _first_move(instance, cover, budget, draw(out_idx))
         if move is None:
             break
         j, l = move
@@ -119,7 +121,7 @@ def _climb(instance: Instance, budget: int, start: Solution, draw) -> Solution:
 _FIRST_BLOCK = 8
 
 
-def _first_move(cover: CoverTracker, budget: int, profits: np.ndarray,
+def _first_move(instance: Instance, cover: CoverTracker, budget: int,
                 order: np.ndarray) -> tuple[int, int | None] | None:
     """(incoming, outgoing or None for an add) of the first movable customer in ``order``.
 
@@ -129,45 +131,46 @@ def _first_move(cover: CoverTracker, budget: int, profits: np.ndarray,
     with a movable one.  The bound drops no movable customer, so the first
     movable one, and its move, are those of pricing every row.  A swap
     must fit the budget and raise profit; the best one drops the least
-    profitable partner, ties to the smaller id.
+    profitable partner, ties to the smaller id.  Rows are priced against
+    every customer, but a row before the first add exceeds the budget
+    unless it drops a selected one, so only selected columns can fit.
     """
     add_ok = (cover.cost + cover.marginal[order] <= budget).nonzero()[0]
     end = int(add_ok[0]) if add_ok.size else order.size
     if end:
-        sel_idx = cover.selected.nonzero()[0]
+        profits = instance.profit_vector
         rows = order[:end]
-        rows = rows[_may_swap(cover, budget, profits, rows, sel_idx)]
+        rows = rows[_may_swap(instance, cover, budget, rows)]
         lo, size = 0, _FIRST_BLOCK
         while lo < rows.size:
             block = rows[lo:lo + size]
-            ok = ((cover.swap_costs(block, sel_idx) <= budget)
-                  & (profits[sel_idx] < profits[block][:, None]))
+            ok = (cover.swap_costs(block) <= budget) & (profits < profits[block][:, None])
             movable = ok.any(axis=1).nonzero()[0]
             if movable.size:
                 row = int(movable[0])
-                out = sel_idx[ok[row]]
+                out = ok[row].nonzero()[0]
                 return int(block[row]), int(out[np.argmin(profits[out])])
             lo, size = lo + size, 2 * size
     return (int(order[end]), None) if end < order.size else None
 
 
-def _may_swap(cover: CoverTracker, budget: int, profits: np.ndarray, rows: np.ndarray,
-              sel_idx: np.ndarray) -> np.ndarray:
-    """Mask over ``rows`` (unselected ids): False where no feasible profit-raising swap exists.
+def _may_swap(instance: Instance, cover: CoverTracker, budget: int,
+              rows: np.ndarray) -> np.ndarray:
+    """Mask over ``rows`` (unselected ids that do not fit): False where no
+    feasible profit-raising swap exists.
 
     kept(j, l) >= 0, so swapping j in for l costs at least
     cost + marginal(j) - freed(l): j can move only if some selected l with
-    p(l) < p(j) has freed(l) >= cost + marginal(j) - budget.  With the
-    selection ``sel_idx`` sorted by profit, the largest freed among the k
-    least profitable is a running maximum, and k for row j is the number
-    of profits strictly below p(j).
+    p(l) < p(j) has freed(l) >= cost + marginal(j) - budget.  Along the
+    instance's profit order the largest freed among the k least profitable
+    customers is a running maximum, read for row j at k = the number of
+    profits strictly below p(j).  Unselected customers join it with freed
+    0, and the empty prefix reads the 0 of freed's slot n; neither changes
+    the mask, since a row that does not fit exceeds the budget by at
+    least 1.
     """
-    p_sel = profits[sel_idx]
-    by_profit = np.argsort(p_sel, kind="stable")
-    # most[k]: the largest freed(l) among the k least profitable selected customers
-    most = np.concatenate(([-np.inf], np.maximum.accumulate(cover.freed()[sel_idx[by_profit]])))
-    below = p_sel[by_profit].searchsorted(profits[rows], side="left")
-    return most[below] >= cover.cost + cover.marginal[rows] - budget
+    most = np.maximum.accumulate(cover.freed()[instance._by_profit])
+    return most[instance._lower_profits[rows]] >= cover.cost + cover.marginal[rows] - budget
 
 
 def fhc(instance: Instance, budget: int, params: FhcParams, seed: int) -> Solution:

@@ -20,7 +20,8 @@ views) and its transpose (each requirement's customers); a
 :class:`Customer` keeps only what the instance file gives.
 :class:`CoverTracker` is the one mutable cover state the solvers share:
 a selection's mask, per-requirement counts, union cost and every
-customer's marginal add cost, kept up to date move by move.  A flip
+customer's marginal add cost (and, once it prices swaps, what dropping
+each selected customer saves), kept up to date move by move.  A flip
 reads and writes single entries through memoryviews of the tracker's own
 count and marginal arrays, which are never rebound, so the numpy code
 reading them sees each flip with no copy or sync step.  The
@@ -107,6 +108,13 @@ class Instance:
     ``cost_vector``, ``profit_vector``, ``closure_indices`` (per customer,
     the sorted 0-based requirement indices of its closure) and
     ``closure_cost_vector`` are the solver-facing numpy views.
+
+    The profits are ranked once, for the climbs' swap bound:
+    ``_by_profit`` is the slot m (one past the last customer) followed by
+    the customers in stable profit order, and ``_lower_profits[j]`` counts
+    the customers whose profit is strictly below customer j's, so
+    ``_by_profit[1:k + 1]`` are exactly those customers for k =
+    ``_lower_profits[j]``.
     """
 
     def __init__(
@@ -150,6 +158,12 @@ class Instance:
         self.cost_vector = np.asarray(costs, dtype=np.int64)
         self._cost_f64 = self.cost_vector.astype(np.float64)
         self.profit_vector = np.asarray([w for w, _reqs in raw_customers], dtype=np.int64)
+        # the customers by profit (stable), behind slot m, which CoverTracker's
+        # freed holds at 0; and per customer, how many have strictly lower profit
+        by_profit = np.argsort(self.profit_vector, kind="stable")
+        self._by_profit = np.concatenate(([len(raw_customers)], by_profit))
+        self._lower_profits = self.profit_vector[by_profit].searchsorted(
+            self.profit_vector, side="left")
         self._csr_ptr = np.asarray(ptr, dtype=np.intp)
         self._csr_req = np.asarray(entries, dtype=np.intp)
         self.closure_indices = tuple(self._csr_req[a:b] for a, b in zip(ptr, ptr[1:]))
@@ -344,9 +358,15 @@ class CoverTracker:
 
     Pricing reads each requirement's *owner sum*: the sum of the 0-based
     ids of the selected customers that need it, which is the owner itself
-    where ``counts`` is 1.  The first pricing call builds the sums and
-    every later flip keeps them, so a tracker that never prices (a
-    construction's) pays one ``is None`` test per flip for them.
+    where ``counts`` is 1; and every customer's ``freed``, the cost of the
+    requirements it alone covers.  The first pricing call works both out
+    and every later flip keeps them: the owner sums with one numpy add over
+    the flipped customer's requirements, freed in the same scalar walk.  A
+    requirement whose coverage changes moves its cost in or out of the
+    flipped customer's freed; one going from one owner to two (an add) or
+    from two to one (a drop) moves it out of or into the other owner's.
+    A tracker that never prices (a construction's) pays a few ``is None``
+    tests per flip for them.
     """
 
     def __init__(self, instance: Instance, start: Iterable[int] = ()):
@@ -372,10 +392,9 @@ class CoverTracker:
         uncovered = self._cost_f * (self.counts == 0)
         self.marginal = np.bincount(row, weights=uncovered[req], minlength=instance.n_customers)
         self._counts_v, self._marginal_v = memoryview(self.counts), memoryview(self.marginal)
-        # per requirement, the selected customers' summed ids; None until the first pricing
-        self._owner_sum = None
-        # (owner, freed) of the current selection, until the next flip
-        self._owned = None
+        # per requirement, the selected customers' summed ids, and per customer
+        # its freed, then a 0 at slot n; None until pricing starts
+        self._owner_sum = self._freed = self._owner_v = self._freed_v = None
 
     def add(self, index: int) -> None:
         """Add customer by 0-based index."""
@@ -388,11 +407,14 @@ class CoverTracker:
     def _flip(self, index: int, step: int) -> None:
         idx = self._idx[index]
         self.selected[index] = step > 0
-        if self._owner_sum is not None:
-            self._owner_sum[idx] += step * index
-            self._owned = None
         counts, marginal, cost = self._counts_v, self._marginal_v, self._cost
         edge = 0 if step > 0 else 1  # uncovered before an add, singly covered before a drop
+        freed, before = self._freed_v, self.cost
+        if freed is not None:
+            self._owner_sum[idx] += step * index
+            owner_sum = self._owner_v
+            # owner_sum[r] - other is the one customer besides ``index`` that needs r
+            shared, other = edge + 1, index if step > 0 else 0
         for r in idx.tolist():
             k = counts[r]
             counts[r] = k + step
@@ -401,60 +423,61 @@ class CoverTracker:
                 self.cost += c
                 for j in self._needed_by[r]:
                     marginal[j] -= c
+            elif freed is not None and k == shared:  # r changes between one owner and two
+                freed[owner_sum[r] - other] -= step * cost[r]
+        if freed is not None:  # ``index`` alone needs what it covers or uncovers
+            freed[index] += self.cost - before
 
     def affordable(self, budget: int) -> np.ndarray:
         """0-based ids of the unselected customers that fit within budget."""
         return (~self.selected & (self.cost + self.marginal <= budget)).nonzero()[0]
 
     def freed(self) -> np.ndarray:
-        """freed(l) for every customer l: the cost of the requirements only l
-        covers, which dropping l saves (zero for an unselected l)."""
-        return self._owners()[1]
+        """freed(l) for every customer l, then a 0 at index n.
 
-    def _owners(self) -> tuple[np.ndarray, np.ndarray]:
-        """(owner, freed) of the current selection, worked out once per state.
-
-        owner[r] is the one selected customer that needs requirement r where
-        ``counts[r]`` is 1, and n elsewhere; freed sums requirement costs by
-        owner.  Both take one pass over the requirements and the customers.
+        freed(l) is the cost of the requirements only l covers, which
+        dropping l saves (zero for an unselected l).  The first call starts
+        pricing: it works out the owner sums and freed from the selection,
+        and from then on every flip keeps both, so the array returned is
+        the tracker's own and follows later flips.
         """
-        if self._owned is None:
-            n = self._inst.n_customers
-            if self._owner_sum is None:
-                row, req = self._inst._csr_row, self._inst._csr_req
-                held = self.selected[row]
-                self._owner_sum = np.bincount(req[held], weights=row[held],
-                                              minlength=self._inst.n_requirements).astype(np.intp)
-            owner = np.where(self.counts == 1, self._owner_sum, n)
-            self._owned = owner, np.bincount(owner, weights=self._cost_f, minlength=n + 1)[:n]
-        return self._owned
+        if self._freed is None:
+            inst = self._inst
+            row, req = inst._csr_row, inst._csr_req
+            held = self.selected[row]
+            self._owner_sum = np.bincount(req[held], weights=row[held],
+                                          minlength=inst.n_requirements).astype(np.intp)
+            single = self.counts == 1
+            self._freed = np.bincount(self._owner_sum[single], weights=self._cost_f[single],
+                                      minlength=inst.n_customers + 1)
+            self._owner_v, self._freed_v = memoryview(self._owner_sum), memoryview(self._freed)
+        return self._freed
 
-    def swap_costs(self, incoming, outgoing) -> np.ndarray:
-        """Union cost after swapping j in for l; rows follow ``incoming``, columns ``outgoing``.
+    def swap_costs(self, incoming) -> np.ndarray:
+        """Union cost after swapping j in for l; rows follow ``incoming``, columns every customer.
 
-        ``incoming`` are unselected and ``outgoing`` selected 0-based ids.
-        Dropping l frees the requirements only l covers, except those j
-        re-covers: cost(S + j - l) = cost + marginal(j) - freed(l) + kept(j, l),
-        where freed(l) sums l's singly covered requirements and kept(j, l)
-        restricts that sum to the ones j needs.
+        ``incoming`` are unselected 0-based ids.  Dropping l frees the
+        requirements only l covers, except those j re-covers:
+        cost(S + j - l) = cost + marginal(j) - freed(l) + kept(j, l), where
+        freed(l) sums l's singly covered requirements and kept(j, l)
+        restricts that sum to the ones j needs.  For an unselected l both
+        are 0, so its column is cost + marginal(j): adding j alone.
 
-        A singly covered requirement has one *owner*, read from the
-        tracker's owner sums; owners and freed are worked out once per
-        selection and shared by every call until the next flip.  kept is
-        then a weighted count of the incoming rows' closure entries by
-        (row, owner's column); owners outside ``outgoing`` are dropped.
-        Apart from one pass over the customers, work is proportional to
-        the incoming rows' closures.
+        A singly covered requirement's *owner* is its owner sum, which the
+        flips keep (see :meth:`freed`); kept is a weighted count of the
+        incoming rows' closure entries by (row, owner), read at those
+        entries only.  Apart from the n columns of the result, work is
+        proportional to the incoming rows' closures.
         """
-        owner, freed = self._owners()
-        n_in, n_out = len(incoming), len(outgoing)
-        # each customer's column; n_out for customers outside ``outgoing`` and for no owner (n)
-        col = np.full(self._inst.n_customers + 1, n_out, dtype=np.intp)
-        col[outgoing] = np.arange(n_out)
-        row, req = _closure_entries(self._inst, incoming)
-        kept = np.bincount(row * (n_out + 1) + col[owner[req]], weights=self._cost_f[req],
-                           minlength=n_in * (n_out + 1)).reshape(n_in, n_out + 1)
-        return kept[:, :n_out] - freed[outgoing] + (self.cost + self.marginal[incoming])[:, None]
+        freed = self.freed()
+        n = self._inst.n_customers
+        rows = [self._idx[j] for j in incoming]
+        req = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
+        row = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+        owner = np.where(self.counts[req] == 1, self._owner_sum[req], n)
+        kept = np.bincount(row * (n + 1) + owner, weights=self._cost_f[req],
+                           minlength=len(rows) * (n + 1)).reshape(len(rows), n + 1)
+        return kept[:, :n] - freed[:n] + (self.cost + self.marginal[incoming])[:, None]
 
     def solution(self) -> Solution:
         """The current selection as a :class:`Solution`, read from the tracker's state."""

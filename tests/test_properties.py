@@ -71,14 +71,14 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
         assert fresh.cost == cover.cost
         assert (fresh.marginal == cover.marginal).all()
         incoming = sorted(set(range(1, inst.n_customers + 1)) - chosen)
-        outgoing = sorted(chosen)
-        # all rows at once, against the whole selection and against a strict
-        # subset in reverse order (owners outside it must be dropped)
-        for cols in (outgoing, outgoing[1::2][::-1]):
-            costs = cover.swap_costs([j - 1 for j in incoming], [l - 1 for l in cols])
-            assert costs.shape == (len(incoming), len(cols))
-            for j, row in zip(incoming, costs):
-                for l, cost in zip(cols, row):
+        # all rows at once and a strict subset in reverse order, each against
+        # every customer: a selected l is swapped out, an unselected one is
+        # not in the selection, so its column is the cost of adding j alone
+        for rows in (incoming, incoming[1::2][::-1]):
+            costs = cover.swap_costs([j - 1 for j in rows])
+            assert costs.shape == (len(rows), inst.n_customers)
+            for j, row in zip(rows, costs):
+                for l, cost in enumerate(row.tolist(), start=1):
                     assert cost == evaluate(inst, chosen - {l} | {j}).cost
 
 
@@ -86,14 +86,14 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
 @given(instances(), st.lists(st.integers(0, 6), max_size=16), st.integers(0, 16))
 def test_cover_tracker_flips_match_a_fresh_tracker(inst, toggles, priced_at):
     # adds and drops in any order; freed() is read before flip number
-    # ``priced_at``, so every later flip also keeps the owner sums
+    # ``priced_at``, so every later flip also keeps the owner sums and freed
     cover = CoverTracker(inst)
     counts, marginal = cover.counts, cover.marginal
     for step, t in enumerate(toggles):
         if inst.n_customers == 0:
             break
         if step == priced_at:
-            cover.freed()
+            freed = cover.freed()
         i = t % inst.n_customers
         (cover.drop if cover.selected[i] else cover.add)(i)
         fresh = CoverTracker(inst, (cover.selected.nonzero()[0] + 1).tolist())
@@ -104,8 +104,10 @@ def test_cover_tracker_flips_match_a_fresh_tracker(inst, toggles, priced_at):
         assert (cover.marginal == fresh.marginal).all()
         assert type(cover.cost) is int and cover.cost == fresh.cost
         if step >= priced_at:
-            for got, want in zip(cover._owners(), fresh._owners()):
-                assert (got == want).all()
+            # kept in the arrays pricing started with, equal to a fresh start's
+            assert cover.freed() is freed
+            assert (freed == fresh.freed()).all() and freed[-1] == 0
+            assert (cover._owner_sum == fresh._owner_sum).all()
 
 
 SOLVERS = (("haco", AcoParams(iterations=2, ants=2)),
@@ -160,11 +162,18 @@ def test_swap_bound_drops_only_unmovable_customers(case, toggles):
         freed = cover.cost - evaluate(inst, chosen - {l}).cost if l in chosen else 0
         assert cover.freed()[l - 1] == freed
     rows = (~cover.selected).nonzero()[0]
-    keep = _may_swap(cover, bud, profits, rows, cover.selected.nonzero()[0])
-    for j in rows[~keep] + 1:
-        for l in chosen:
-            if profits[l - 1] < profits[j - 1]:
+    keep = _may_swap(inst, cover, bud, rows)
+    for j, kept in zip(rows + 1, keep.tolist()):
+        lower = [l for l in chosen if profits[l - 1] < profits[j - 1]]
+        if not kept:
+            for l in lower:
                 assert evaluate(inst, chosen - {l} | {j}).cost > bud, (j, l)
+        # a row that does not fit is kept exactly when the bound holds for
+        # some less profitable selected l (rows that fit are not bounded)
+        excess = evaluate(inst, chosen | {j}).cost - bud
+        if excess > 0:
+            want = any(cover.cost - evaluate(inst, chosen - {l}).cost >= excess for l in lower)
+            assert kept == want, j
 
 
 @FAST
