@@ -158,8 +158,6 @@ class Instance:
         self.cost_vector = np.asarray(costs, dtype=np.int64)
         self._cost_f64 = self.cost_vector.astype(np.float64)
         self.profit_vector = np.asarray([w for w, _reqs in raw_customers], dtype=np.int64)
-        # the customers by profit (stable), behind slot m, which CoverTracker's
-        # freed holds at 0; and per customer, how many have strictly lower profit
         by_profit = np.argsort(self.profit_vector, kind="stable")
         self._by_profit = np.concatenate(([len(raw_customers)], by_profit))
         self._lower_profits = self.profit_vector[by_profit].searchsorted(
