@@ -252,6 +252,7 @@ def exact(instance: Instance, budget: int) -> Solution:
                    integrality=np.concatenate([np.ones(m), np.zeros(n)]), bounds=(0, 1),
                    constraints=[(links, -np.inf, 0), (spend, -np.inf, budget)],
                    options={"mip_rel_gap": 0, "threads": 1, "presolve": False,
+                            "mip_heuristic_run_feasibility_jump": False,
                             "node_limit": EXACT_NODE_LIMIT})
     if res.status != 0:
         # scipy wraps statuses it does not map (the node limit's among them)

@@ -104,16 +104,13 @@ def write_instance(instance: Instance) -> str:
     pos = 0
     for k in instance.level_sizes:
         out.append(str(k))
-        out.append(" ".join(str(r.cost) for r in instance.requirements[pos:pos + k]))
+        out.append(" ".join(map(str, instance._cost[pos:pos + k])))
         pos += k
-    out.append(str(len(instance.graph.edges)))
-    for p, q in instance.graph.edges:
-        out.append(f"{p} {q}")
-    out.append(str(len(instance.customers)))
-    for c in instance.customers:
-        parts = [str(c.profit), str(len(c.requests))]
-        parts.extend(str(r) for r in c.requests)
-        out.append(" ".join(parts))
+    out.append(str(len(instance._edges)))
+    out.extend(f"{p} {q}" for p, q in instance._edges.tolist())
+    out.append(str(instance.n_customers))
+    for w, reqs in zip(instance.profit_vector.tolist(), instance._requests):
+        out.append(" ".join(map(str, (w, len(reqs), *reqs))))
     return "\n".join(out) + "\n"
 
 

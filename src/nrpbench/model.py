@@ -11,13 +11,14 @@ of their profits.
 
 All ids are 1-based.  An instance is valid by construction: malformed
 raw data raises :class:`InvalidInstanceError`, which lists every issue.
-Instances are immutable; the derived closures and the numpy views used
-by the solvers are computed once when the instance is built.
+Instances are immutable and hold arrays and plain tuples only; the
+closures and the numpy views used by the solvers are computed once when
+the instance is built.  The :class:`Requirement`, :class:`Customer` and
+:class:`DependencyGraph` objects are views, built on first access.
 
 The closure is held once, as sorted index lists in both directions: a
 CSR form (each customer's requirements; ``closure_indices`` are its row
-views) and its transpose (each requirement's customers); a
-:class:`Customer` keeps only what the instance file gives.
+views) and its transpose (each requirement's customers).
 :class:`CoverTracker` is the one mutable cover state the solvers share:
 a selection's mask, per-requirement counts, union cost and every
 customer's marginal add cost (and, once it prices swaps, what dropping
@@ -37,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,6 +102,11 @@ class ValidationIssue:
 class Instance:
     """A full problem instance with precomputed closures.
 
+    It holds the file's data as arrays and tuples: ``_cost``, ``cost_vector``,
+    ``profit_vector``, ``_edges`` ((E, 2), file order), ``_requests`` (ids per
+    customer) and ``level_sizes``.  ``requirements``, ``customers`` and
+    ``graph`` are views of them, built on first access; no solver reads them.
+
     The closure is held once, as sorted index lists per customer (CSR) and
     per requirement (its transpose); no dense closure matrix is ever built.
 
@@ -124,82 +132,89 @@ class Instance:
         customers: Iterable[tuple[int, Iterable[int]]],
         level_sizes: Sequence[int] | None = None,
     ):
-        costs = [int(c) for c in costs]
-        edge_list = tuple((int(p), int(q)) for p, q in edges)
-        raw_customers = [(int(w), tuple(int(r) for r in reqs)) for w, reqs in customers]
+        costs = list(map(int, costs))
+        edge_list = [(int(p), int(q)) for p, q in edges]
+        raw_customers = [(int(w), tuple(map(int, reqs))) for w, reqs in customers]
+        profits = [w for w, _reqs in raw_customers]
+        requests = tuple(reqs for _w, reqs in raw_customers)
 
-        n = len(costs)
+        n, m = len(costs), len(raw_customers)
         if level_sizes is None:
             level_sizes = (n,) if n else ()
         level_sizes = tuple(int(k) for k in level_sizes)
         if sum(level_sizes) != n:
             raise ValueError(f"level sizes {level_sizes} do not sum to {n} requirements")
-        issues = _check_structure(costs, edge_list, raw_customers)
-        if issues:
-            raise InvalidInstanceError(issues)
+        # the fast check; _check_structure words the issues when it fails
+        ends = list(chain(*edge_list))
+        ids = ends + list(chain(*requests))
+        valid = (min(costs + profits, default=1) >= 1
+                 and min(ids, default=1) >= 1 and max(ids, default=0) <= n)
+        order, parents = _kahn(n, edge_list) if valid else ([], [])
+        if not valid or len(order) < n:
+            raise InvalidInstanceError(_check_structure(costs, edge_list, raw_customers))
 
-        self.requirements = tuple(Requirement(i + 1, c) for i, c in enumerate(costs))
-        self.graph = DependencyGraph(edge_list)
         self.level_sizes = level_sizes
         self.total_cost = sum(costs)
-        self.customers = tuple(
-            Customer(i + 1, w, reqs) for i, (w, reqs) in enumerate(raw_customers))
-
-        parents = _parent_lists(n, edge_list)
-        # CSR form of the closure: customer i's requirements, sorted, are
-        # _csr_req[_csr_ptr[i]:_csr_ptr[i + 1]]
-        ptr = [0]
-        entries: list[int] = []
-        for _w, reqs in raw_customers:
-            entries.extend(sorted(r - 1 for r in _prerequisite_closure(parents, reqs)))
-            ptr.append(len(entries))
-
         self._cost = costs
+        self._edges = np.asarray(ends, dtype=np.intp).reshape(len(edge_list), 2)
+        self._requests = requests
         self.cost_vector = np.asarray(costs, dtype=np.int64)
         self._cost_f64 = self.cost_vector.astype(np.float64)
-        self.profit_vector = np.asarray([w for w, _reqs in raw_customers], dtype=np.int64)
+        self.profit_vector = np.asarray(profits, dtype=np.int64)
         by_profit = np.argsort(self.profit_vector, kind="stable")
-        self._by_profit = np.concatenate(([len(raw_customers)], by_profit))
+        self._by_profit = np.concatenate(([m], by_profit))
         self._lower_profits = self.profit_vector[by_profit].searchsorted(
             self.profit_vector, side="left")
-        self._csr_ptr = np.asarray(ptr, dtype=np.intp)
-        self._csr_req = np.asarray(entries, dtype=np.intp)
-        self.closure_indices = tuple(self._csr_req[a:b] for a, b in zip(ptr, ptr[1:]))
-        # the customer of every closure entry
-        self._csr_row = np.repeat(np.arange(len(raw_customers)), np.diff(ptr))
+        # CSR form of the closure: customer i's requirements, sorted, are
+        # _csr_req[_csr_ptr[i]:_csr_ptr[i + 1]]; the customer of every entry
+        self._csr_row, self._csr_req = _closure_pairs(n, order, parents, requests)
+        self._csr_ptr = np.concatenate(([0], np.bincount(self._csr_row, minlength=m).cumsum()))
+        ptr = self._csr_ptr.tolist()
+        self.closure_indices = tuple(map(self._csr_req.__getitem__, map(slice, ptr, ptr[1:])))
         # the transpose: requirement r's customers, sorted, as Python lists for
         # CoverTracker's scalar walk (a stable sort keeps customer order)
         by_req = self._csr_row[np.argsort(self._csr_req, kind="stable")].tolist()
         req_ptr = np.cumsum(np.bincount(self._csr_req, minlength=n)).tolist()
-        self._needed_by = tuple(by_req[a:b] for a, b in zip([0] + req_ptr, req_ptr))
+        self._needed_by = tuple(map(by_req.__getitem__, map(slice, [0] + req_ptr, req_ptr)))
         self.closure_cost_vector = np.bincount(
             self._csr_row, weights=self._cost_f64[self._csr_req],
-            minlength=len(raw_customers)).astype(np.int64)
+            minlength=m).astype(np.int64)
+
+    @cached_property
+    def requirements(self) -> tuple[Requirement, ...]:
+        return tuple(Requirement(i + 1, c) for i, c in enumerate(self._cost))
+
+    @cached_property
+    def graph(self) -> DependencyGraph:
+        return DependencyGraph(tuple(map(tuple, self._edges.tolist())))
+
+    @cached_property
+    def customers(self) -> tuple[Customer, ...]:
+        return tuple(Customer(i + 1, w, reqs) for i, (w, reqs)
+                     in enumerate(zip(self.profit_vector.tolist(), self._requests)))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def n_requirements(self) -> int:
-        return len(self.requirements)
+        return len(self._cost)
 
     @property
     def n_customers(self) -> int:
-        return len(self.customers)
+        return len(self._requests)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return (
-            self.requirements == other.requirements
-            and self.graph == other.graph
-            and self.customers == other.customers
-            and self.level_sizes == other.level_sizes
-        )
+        return ((self._cost, self._requests, self.level_sizes)
+                == (other._cost, other._requests, other.level_sizes)
+                and np.array_equal(self._edges, other._edges)
+                and np.array_equal(self.profit_vector, other.profit_vector))
 
     def __repr__(self) -> str:
         return (
             f"Instance({self.n_requirements} requirements, "
-            f"{len(self.graph.edges)} edges, {self.n_customers} customers)"
+            f"{len(self._edges)} edges, {self.n_customers} customers)"
         )
 
 
@@ -240,64 +255,62 @@ def _check_structure(costs, edges, raw_customers) -> list[ValidationIssue]:
             if not 1 <= r <= n:
                 issues.append(ValidationIssue("bad-id", f"customer {i + 1} requests requirement {r}"))
 
-    if ids_ok:
-        cycle = _find_cycle(n, edges)
-        if cycle is not None:
-            path = " -> ".join(str(r) for r in cycle)
-            issues.append(ValidationIssue("cyclic-dependency", f"dependency cycle {path}"))
+    # a cycle: walk back through the parents of the ids Kahn's order leaves out
+    order, parents = _kahn(n, edges) if ids_ok else (range(1, n + 1), [])
+    leftover = set(range(1, n + 1)).difference(order)
+    if leftover:
+        trail, pos = [min(leftover)], {}
+        while trail[-1] not in pos:
+            pos[trail[-1]] = len(trail) - 1
+            trail.append(next(p for p in parents[trail[-1]] if p in leftover))
+        # trail follows parent links, so forward edges run right-to-left
+        path = " -> ".join(map(str, trail[pos[trail[-1]]:][::-1]))
+        issues.append(ValidationIssue("cyclic-dependency", f"dependency cycle {path}"))
     return issues
 
 
-def _parent_lists(n: int, edges) -> list[list[int]]:
+def _kahn(n: int, edges) -> tuple[list[int], list[list[int]]]:
+    """Kahn's algorithm over ids 1..n: a topological order, which holds every
+    id exactly when the graph is acyclic, and every id's parents."""
+    children: list[list[int]] = [[] for _ in range(n + 1)]
     parents: list[list[int]] = [[] for _ in range(n + 1)]
     for p, q in edges:
-        parents[q].append(p)
-    return parents
-
-
-def _find_cycle(n: int, edges) -> list[int] | None:
-    """Kahn's algorithm; on failure walk back through leftover nodes to extract one cycle."""
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    indeg = [0] * (n + 1)
-    for p, q in edges:
         children[p].append(q)
-        indeg[q] += 1
-    queue = [v for v in range(1, n + 1) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
+        parents[q].append(p)
+    indeg = [len(ps) for ps in parents]
+    order = [v for v in range(1, n + 1) if not indeg[v]]
+    for v in order:  # the order is its own queue: it grows while it is read
         for w in children[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen == n:
-        return None
-    leftover = {v for v in range(1, n + 1) if indeg[v] > 0}
-    parents = _parent_lists(n, edges)
-    start = min(leftover)
-    trail = [start]
-    pos = {start: 0}
-    node = start
-    while True:
-        node = next(p for p in parents[node] if p in leftover)
-        if node in pos:
-            # trail follows parent links, so forward edges run right-to-left
-            return [node] + trail[pos[node]:][::-1]
-        pos[node] = len(trail)
-        trail.append(node)
+            if not indeg[w]:
+                order.append(w)
+    return order, parents
 
 
-def _prerequisite_closure(parents: list[list[int]], request_ids: Iterable[int]) -> set[int]:
-    seen = set(request_ids)
-    stack = list(seen)
-    while stack:
-        r = stack.pop()
-        for p in parents[r]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
+def _closure_pairs(n: int, order, parents, requests) -> tuple[np.ndarray, np.ndarray]:
+    """Every closure entry as 0-based (customer, requirement) index arrays,
+    by customer and then requirement.  Each requested id's set (itself and
+    its ancestors) is worked out once, in topological order and with no
+    recursion: the walk up from it stops at every requested ancestor, whose
+    set is already done."""
+    up: list = [()] * (n + 1)  # id -> its set, once done; empty until then
+    for v in filter(set(chain(*requests)).__contains__, order):
+        got, stack = {v}, [v]
+        while stack:
+            for p in parents[stack.pop()]:
+                if up[p]:
+                    got |= up[p]
+                elif p not in got:
+                    got.add(p)
+                    stack.append(p)
+        up[v] = got
+    # a customer's closure is the union of its requests' sets: gather them as
+    # one key per pair, which sorted and without repeats is the CSR order
+    row = np.repeat(np.arange(len(requests)), [len(reqs) for reqs in requests])
+    pos, req = _csr_rows(np.cumsum([0, *map(len, up)]), np.fromiter(chain(*up), dtype=np.intp),
+                         np.fromiter(chain(*requests), dtype=np.intp, count=row.size))
+    keys = np.sort(row[pos] * n + req - 1)
+    return np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(n, 1))
 
 
 # -- operations -------------------------------------------------------------
@@ -314,7 +327,7 @@ def evaluate(instance: Instance, selected: Iterable[int]) -> Solution:
     """Evaluate a customer selection: union coverage, union cost, summed profit."""
     idx = sorted({_customer_index(instance, c) for c in selected})
     covered_mask = np.zeros(instance.n_requirements, dtype=bool)
-    covered_mask[_closure_entries(instance, idx)[1]] = True
+    covered_mask[_csr_rows(instance._csr_ptr, instance._csr_req, idx)[1]] = True
     cost = int(instance.cost_vector[covered_mask].sum())
     profit = int(instance.profit_vector[idx].sum())
     covered = frozenset(int(r) + 1 for r in np.flatnonzero(covered_mask))
@@ -485,16 +498,17 @@ class CoverTracker:
                         self.cost, int(self._inst.profit_vector[idx].sum()))
 
 
-def _closure_entries(instance: Instance, customers) -> tuple[np.ndarray, np.ndarray]:
-    """The closure entries of ``customers`` (0-based ids), as (position in
-    ``customers``, requirement index) pairs, customer by customer."""
-    customers = np.asarray(customers, dtype=np.intp)
-    starts = instance._csr_ptr[customers]
-    sizes = instance._csr_ptr[customers + 1] - starts
-    pos = np.repeat(np.arange(customers.size), sizes)
-    # entry k of the result is entry k - first[pos] of its customer's closure
+def _csr_rows(ptr: np.ndarray, values: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of CSR rows ``rows`` as (position in ``rows``, value)
+    pairs, row by row; with the closure's ``_csr_ptr`` and ``_csr_req``,
+    the closure entries of customers ``rows`` (0-based ids)."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts = ptr[rows]
+    sizes = ptr[rows + 1] - starts
+    pos = np.repeat(np.arange(rows.size), sizes)
+    # entry k of the result is entry k - first[pos] of its row
     first = np.cumsum(sizes) - sizes
-    return pos, instance._csr_req[np.arange(pos.size) + (starts - first)[pos]]
+    return pos, values[np.arange(pos.size) + (starts - first)[pos]]
 
 
 def _construct(instance: Instance, budget: int, choose) -> Solution:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import bruteforce as bf
@@ -37,6 +39,27 @@ def test_roundtrip_generated():
     again = read_instance(write_instance(inst))
     assert again == inst
     assert again.level_sizes == (20, 40, 80, 160, 320)
+
+
+# sha256 of write_instance(generate(builtin_spec(family), 1)), recorded
+# before Instance held arrays only
+GENERATED_SHA256 = {
+    "NRP-1": "864eb824355967d2eb97b55f856b6e2f4585b7eb14266502caf36f014668fb43",
+    "NRP-2": "f62bef8e952780143ef314f19251616636d1602970ee53690571d93704c65135",
+    "NRP-3": "738b19e2922d9bbc7283180d19d071c45d7b23663f363aabd8fc4543db025ad3",
+    "NRP-4": "ed771d20d97118a44e884e3d8ac2c87a6fc670ae458384def6bde94d18ad4e9b",
+    "NRP-5": "b67552ab1562b9c5715a16cf00799069d6dd94452084668b8157ec4d166e7aaf",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED_SHA256))
+def test_generated_files_are_pinned(family):
+    inst = generate(builtin_spec(family), 1)
+    text = write_instance(inst)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_SHA256[family]
+    again = read_instance(text)
+    assert again == inst
+    assert write_instance(again) == text
 
 
 def test_roundtrip_through_files(toy, tmp_path):

@@ -8,7 +8,7 @@ from nrpbench import local_search
 from nrpbench.aco import construct_solution, heuristic_info, init_pheromone
 from nrpbench.local_search import (InfeasibleStartError, fhc, improve, random_feasible,
                                    sweep_improve)
-from nrpbench.model import _closure_entries
+from nrpbench.model import _csr_rows
 
 
 def test_random_feasible_boundaries(toy):
@@ -182,13 +182,13 @@ def test_climbs_match_brute_force_reference(name, ratio, monkeypatch):
 def _gathered_swap_costs(inst, cover, incoming, outgoing):
     """Swap pricing with owners gathered from the closure entries of ``outgoing``."""
     n_out = len(outgoing)
-    col, req = _closure_entries(inst, outgoing)
+    col, req = _csr_rows(inst._csr_ptr, inst._csr_req, outgoing)
     owner = np.full(inst.n_requirements, n_out, dtype=np.intp)
     owner[req] = col
     owner[cover.counts != 1] = n_out
     cost_f = inst.cost_vector.astype(np.float64)
     freed = np.bincount(owner, weights=cost_f, minlength=n_out + 1)[:n_out]
-    row, req = _closure_entries(inst, incoming)
+    row, req = _csr_rows(inst._csr_ptr, inst._csr_req, incoming)
     n_in = len(incoming)
     kept = np.bincount(row * (n_out + 1) + owner[req], weights=cost_f[req],
                        minlength=n_in * (n_out + 1)).reshape(n_in, n_out + 1)

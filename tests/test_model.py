@@ -9,6 +9,8 @@ from nrpbench import (AcoParams, CoverTracker, InvalidInstanceError, aco, baseli
                       builtin_spec, closure, evaluate, generate, make_instance, model, rng)
 from nrpbench.aco import construct_solution, heuristic_info, init_pheromone
 from nrpbench.baselines import grasp_construct
+from nrpbench.fileformat import write_instance
+from nrpbench.model import Customer, Requirement
 
 
 def _refusal(*parts):
@@ -50,6 +52,21 @@ def test_invalid_instance_lists_every_issue():
         "cyclic-dependency: dependency cycle 1 -> 2 -> 1",
     ]
     assert str(err) == "instance failed validation: " + "; ".join(map(str, err.issues))
+
+
+def test_validate_self_loop_and_ids_without_requirements():
+    issues = _refusal([1, 1, 1], [(2, 2)], [(5, [1])]).issues
+    assert [str(i) for i in issues] == ["cyclic-dependency: dependency cycle 2 -> 2"]
+    assert [str(i) for i in _refusal([], [], [(5, [1])]).issues] == [
+        "bad-id: customer 1 requests requirement 1"]
+
+
+def test_closure_of_a_long_chain():
+    # 5000 levels: an ancestor walk that recursed would pass Python's recursion limit
+    n = 5000
+    inst = make_instance([1] * n, [(i, i + 1) for i in range(1, n)], [(3, [n])])
+    assert inst.closure_indices[0].tolist() == list(range(n))
+    assert inst._needed_by == tuple([0] for _ in range(n))
 
 
 def test_closure_basics(toy):
@@ -263,3 +280,44 @@ def test_instance_keeps_no_dense_closure():
         tracemalloc.stop()
     assert inst.n_customers * inst.n_requirements * 8 > 19e6
     assert retained < 10e6
+
+
+def _parse_by_hand(text):
+    """Costs, edges and (profit, requests) rows of an instance file, read line by line."""
+    lines = iter(text.splitlines())
+    costs = []
+    for _ in range(int(next(lines))):
+        next(lines)  # the level's requirement count
+        costs += map(int, next(lines).split())
+    edges = tuple(tuple(map(int, next(lines).split())) for _ in range(int(next(lines))))
+    rows = [[int(t) for t in next(lines).split()] for _ in range(int(next(lines)))]
+    return costs, edges, [(row[0], tuple(row[2:])) for row in rows]
+
+
+def test_views_match_the_written_file():
+    inst = generate(builtin_spec("NRP-1"), 1)
+    costs, edges, customers = _parse_by_hand(write_instance(inst))
+    assert inst.requirements == tuple(Requirement(i + 1, c) for i, c in enumerate(costs))
+    assert inst.graph.edges == edges
+    assert inst.customers == tuple(Customer(i + 1, w, reqs)
+                                   for i, (w, reqs) in enumerate(customers))
+    assert inst.customers is inst.customers  # built once, on first use
+
+
+def test_counts_without_customers_or_requests():
+    alone = make_instance([3, 4], [(1, 2)], [])
+    assert (alone.n_requirements, alone.n_customers) == (2, 0)
+    idle = make_instance([3], [], [(5, []), (6, [])])
+    assert (idle.n_requirements, idle.n_customers) == (1, 2)
+    assert [c.size for c in idle.closure_indices] == [0, 0]
+
+
+def test_equality_tells_every_part_apart():
+    costs, edges, customers = [5, 3, 4, 2], [(1, 2), (3, 4)], [(10, [2, 1]), (8, [3])]
+    base = make_instance(costs, edges, customers)
+    assert base == make_instance(costs, edges, customers)
+    assert base != make_instance([5, 3, 4, 1], edges, customers)
+    assert base != make_instance(costs, edges[::-1], customers)
+    assert base != make_instance(costs, edges, [(10, [1, 2]), (8, [3])])
+    assert base != make_instance(costs, edges, [(10, [2, 1]), (9, [3])])
+    assert base != make_instance(costs, edges, customers, level_sizes=[2, 2])
