@@ -255,7 +255,8 @@ def _check_structure(costs, edges, raw_customers) -> list[ValidationIssue]:
             if not 1 <= r <= n:
                 issues.append(ValidationIssue("bad-id", f"customer {i + 1} requests requirement {r}"))
 
-    # a cycle: walk back through the parents of the ids Kahn's order leaves out
+    # a cycle (sought only when every edge id is in range): walk back through
+    # the parents of the ids Kahn's order leaves out
     order, parents = _kahn(n, edges) if ids_ok else (range(1, n + 1), [])
     leftover = set(range(1, n + 1)).difference(order)
     if leftover:
