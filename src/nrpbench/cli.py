@@ -23,7 +23,7 @@ from .bench import (ConfigError, _dump_payload, _params_of, _parse_params,
                     parse_bench_config, run_bench, solve_one, verify_dump, ALGORITHMS)
 from .fileformat import ParseError, read_instance_file, write_instance
 from .generate import builtin_names, builtin_spec, generate, spec_from_dict
-from .model import InvalidInstanceError, budget as budget_of, evaluate
+from .model import InvalidInstanceError, budget as budget_of
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -202,8 +202,7 @@ def _cmd_verify(args) -> int:
                             f"{args.budget_ratio} budget ({expect})")
     if problems:
         return _mismatch(problems)
-    sol = evaluate(inst, dump["selected"])
-    print(f"ok: profit {sol.profit}, cost {sol.cost} within budget "
+    print(f"ok: profit {dump['profit']}, cost {dump['cost']} within budget "
           f"{dump.get('budget', 'n/a')}")
     return EXIT_OK
 

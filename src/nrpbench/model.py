@@ -18,7 +18,9 @@ the instance is built.  The :class:`Requirement`, :class:`Customer` and
 
 The closure is held once, as sorted index lists in both directions: a
 CSR form (each customer's requirements; ``closure_indices`` are its row
-views) and its transpose (each requirement's customers).
+views) and its transpose (each requirement's customers).  Both come from
+one walk per customer up the parent lists from its requests, so the build
+needs nothing beyond its output and O(n) working lists.
 :class:`CoverTracker` is the one mutable cover state the solvers share:
 a selection's mask, per-requirement counts, union cost and every
 customer's marginal add cost (and, once it prices swaps, what dropping
@@ -107,9 +109,6 @@ class Instance:
     customer) and ``level_sizes``.  ``requirements``, ``customers`` and
     ``graph`` are views of them, built on first access; no solver reads them.
 
-    The closure is held once, as sorted index lists per customer (CSR) and
-    per requirement (its transpose); no dense closure matrix is ever built.
-
     Build through :func:`make_instance`.  Malformed raw data (a cycle, an
     id out of range, a cost or profit below 1) raises
     :class:`InvalidInstanceError`, so every instance that exists is valid.
@@ -142,8 +141,8 @@ class Instance:
         if level_sizes is None:
             level_sizes = (n,) if n else ()
         level_sizes = tuple(int(k) for k in level_sizes)
-        if sum(level_sizes) != n:
-            raise ValueError(f"level sizes {level_sizes} do not sum to {n} requirements")
+        if sum(level_sizes) != n or min(level_sizes, default=0) < 0:
+            raise ValueError(f"level sizes {level_sizes} must be non-negative and sum to {n}")
         # the fast check; _check_structure words the issues when it fails
         ends = list(chain(*edge_list))
         ids = ends + list(chain(*requests))
@@ -165,17 +164,33 @@ class Instance:
         self._by_profit = np.concatenate(([m], by_profit))
         self._lower_profits = self.profit_vector[by_profit].searchsorted(
             self.profit_vector, side="left")
-        # CSR form of the closure: customer i's requirements, sorted, are
-        # _csr_req[_csr_ptr[i]:_csr_ptr[i + 1]]; the customer of every entry
-        self._csr_row, self._csr_req = _closure_pairs(n, order, parents, requests)
-        self._csr_ptr = np.concatenate(([0], np.bincount(self._csr_row, minlength=m).cumsum()))
+        # the closure: one walk per customer i up ``parents`` from its requests,
+        # seen[v] == i marking the ids it already holds.  Its sorted ids, 0-based,
+        # are _csr_req[_csr_ptr[i]:_csr_ptr[i + 1]], and i joins each one's list
+        # in _needed_by (the transpose); _csr_row is the customer of every entry
+        seen, needed_by, entries, sizes = [-1] * (n + 1), [[] for _ in range(n + 1)], [], []
+        for i, reqs in enumerate(requests):
+            got = []
+            for v in reqs:
+                if seen[v] != i:
+                    seen[v] = i
+                    got.append(v)
+            for v in got:  # the list is its own queue: it grows while it is read
+                for p in parents[v]:
+                    if seen[p] != i:
+                        seen[p] = i
+                        got.append(p)
+            got.sort()
+            for v in got:
+                needed_by[v].append(i)
+            entries += got
+            sizes.append(len(got))
+        self._csr_ptr = np.cumsum([0] + sizes)
+        self._csr_row = np.repeat(np.arange(m), sizes)
+        self._csr_req = np.array(entries, dtype=np.intp) - 1
         ptr = self._csr_ptr.tolist()
         self.closure_indices = tuple(map(self._csr_req.__getitem__, map(slice, ptr, ptr[1:])))
-        # the transpose: requirement r's customers, sorted, as Python lists for
-        # CoverTracker's scalar walk (a stable sort keeps customer order)
-        by_req = self._csr_row[np.argsort(self._csr_req, kind="stable")].tolist()
-        req_ptr = np.cumsum(np.bincount(self._csr_req, minlength=n)).tolist()
-        self._needed_by = tuple(map(by_req.__getitem__, map(slice, [0] + req_ptr, req_ptr)))
+        self._needed_by = tuple(needed_by[1:])
         self.closure_cost_vector = np.bincount(
             self._csr_row, weights=self._cost_f64[self._csr_req],
             minlength=m).astype(np.int64)
@@ -286,32 +301,6 @@ def _kahn(n: int, edges) -> tuple[list[int], list[list[int]]]:
             if not indeg[w]:
                 order.append(w)
     return order, parents
-
-
-def _closure_pairs(n: int, order, parents, requests) -> tuple[np.ndarray, np.ndarray]:
-    """Every closure entry as 0-based (customer, requirement) index arrays,
-    by customer and then requirement.  Each requested id's set (itself and
-    its ancestors) is worked out once, in topological order and with no
-    recursion: the walk up from it stops at every requested ancestor, whose
-    set is already done."""
-    up: list = [()] * (n + 1)  # id -> its set, once done; empty until then
-    for v in filter(set(chain(*requests)).__contains__, order):
-        got, stack = {v}, [v]
-        while stack:
-            for p in parents[stack.pop()]:
-                if up[p]:
-                    got |= up[p]
-                elif p not in got:
-                    got.add(p)
-                    stack.append(p)
-        up[v] = got
-    # a customer's closure is the union of its requests' sets: gather them as
-    # one key per pair, which sorted and without repeats is the CSR order
-    row = np.repeat(np.arange(len(requests)), [len(reqs) for reqs in requests])
-    pos, req = _csr_rows(np.cumsum([0, *map(len, up)]), np.fromiter(chain(*up), dtype=np.intp),
-                         np.fromiter(chain(*requests), dtype=np.intp, count=row.size))
-    keys = np.sort(row[pos] * n + req - 1)
-    return np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(n, 1))
 
 
 # -- operations -------------------------------------------------------------

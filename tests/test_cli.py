@@ -143,9 +143,10 @@ def test_solve_dump_then_verify(toy_file, tmp_path):
                        "--budget-ratio", "0.5", "--dump", dump)
     assert rc == 0
     rc, out, _ = run_cli("verify", toy_file, dump, "--budget-ratio", "0.5")
-    assert rc == 0 and out.startswith("ok:")
-
     data = json.loads(dump.read_text())
+    assert rc == 0 and out == (f"ok: profit {data['profit']}, cost {data['cost']} "
+                               f"within budget {data['budget']}\n")
+
     data["profit"] += 1
     dump.write_text(json.dumps(data))
     rc, _, err = run_cli("verify", toy_file, dump)

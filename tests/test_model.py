@@ -62,11 +62,21 @@ def test_validate_self_loop_and_ids_without_requirements():
 
 
 def test_closure_of_a_long_chain():
-    # 5000 levels: an ancestor walk that recursed would pass Python's recursion limit
+    # 5000 levels: an ancestor walk that recursed would pass Python's recursion
+    # limit, and one that kept every requested id's ancestor set would hold
+    # about n**2 / 14 ids for the third customer's requests alone
     n = 5000
-    inst = make_instance([1] * n, [(i, i + 1) for i in range(1, n)], [(3, [n])])
-    assert inst.closure_indices[0].tolist() == list(range(n))
-    assert inst._needed_by == tuple([0] for _ in range(n))
+    customers = [(3, [n]), (4, [n - 1]), (2, range(1, n, 7))]
+    tracemalloc.start()
+    try:
+        inst = make_instance([1] * n, [(i, i + 1) for i in range(1, n)], customers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert [idx.tolist() for idx in inst.closure_indices] == [
+        list(range(n)), list(range(n - 1)), list(range(n - 1))]
+    assert inst._needed_by == tuple([0, 1, 2] for _ in range(n - 1)) + ([0],)
 
 
 def test_closure_basics(toy):
@@ -260,8 +270,10 @@ def test_evaluate_is_pure(toy):
 
 
 def test_level_sizes_must_sum():
-    with pytest.raises(ValueError):
-        make_instance([1, 1, 1], [], [(1, [1])], level_sizes=[2, 2])
+    # a sum of 4 for 3 requirements; the right sum, with a negative level
+    for costs, level_sizes in (([1, 1, 1], [2, 2]), ([1, 1], [3, -1])):
+        with pytest.raises(ValueError):
+            make_instance(costs, [], [(5, [2])], level_sizes=level_sizes)
 
 
 def test_instance_repr(toy):
