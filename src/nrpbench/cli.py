@@ -124,7 +124,9 @@ def _cmd_gen(args) -> int:
     text = write_instance(inst)
     counts = f"{inst.n_requirements} requirements, {inst.n_customers} customers"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="utf-8")
         print(f"wrote {counts} to {args.out}")
     else:
         sys.stdout.write(text)
@@ -151,6 +153,8 @@ def _cmd_solve(args) -> int:
         raise UsageError("--seed must be non-negative")
     inst = read_instance_file(args.instance)
     bud = _parse_ratio(inst, args.budget_ratio)
+    if args.dump:  # before the solve, so a dump path that cannot be made fails first
+        Path(args.dump).parent.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     sol, _ = solve_one(inst, bud, args.algo, args.seed, params)
     wall = time.perf_counter() - started

@@ -19,17 +19,18 @@ through other customers.
 each pass, so its output is a certified 1-swap local optimum: no
 feasible addition and no profit-improving feasible swap exists at all.
 The ant-colony hybrid uses this stronger operator on each constructed
-solution.  A pass first drops every customer that no swap could pay for:
-swapping j in for l costs at least cost + marginal(j) - freed(l), so j
-needs a selected l of lower profit that frees at least that excess over
-budget.  One running maximum of freed along the instance's profit order,
-which is ranked once when the instance is built, answers this for the
-whole order; the tracker keeps freed flip by flip.  The pass then prices
-swaps for the rest in doubling blocks of the order and stops at the first
-block with a movable customer; since no movable customer is dropped, the
-move is the one a full pricing of the order would give.  So a pass costs
-a few numpy calls over the customers plus the priced rows' closures, and
-nothing over every requirement.
+solution.  Swapping j in for l costs at least cost + marginal(j) - freed(l),
+so j needs a selected l of lower profit that frees at least that excess
+over budget.  The tracker keeps freed flip by flip, and the profits are
+ranked once when the instance is built, so one running maximum of freed
+along the profit order and one binary search into it give, for every
+customer of the order at once, the least profitable l that frees enough.
+That l is j's best partner unless j itself needs some of what only l
+covers, which is rare; only then are the other partners of lower profit
+checked, in one vectorised pass.  The pass walks the closures of the
+customers it tries, in order, and stops at the first with a move.  So a
+pass costs a few numpy calls over the customers plus, most often, one
+closure walk, and nothing over every requirement.
 
 The standalone restart solver climbs with `improve` from independent
 random feasible selections and keeps the best result.
@@ -93,9 +94,9 @@ def sweep_improve(instance: Instance, budget: int, start: Solution,
 
     Every pass draws one ``gen.permutation`` of the unselected customers,
     the last pass (which finds no move) included; :func:`_first_move`
-    prices only as much of that order as it needs.
+    walks only the closures of the customers it tries.
     """
-    return _climb(instance, budget, start, lambda out: out[gen.permutation(out.size)])
+    return _climb(instance, budget, start, gen.permutation)
 
 
 def _climb(instance: Instance, budget: int, start: Solution, draw) -> Solution:
@@ -117,60 +118,45 @@ def _climb(instance: Instance, budget: int, start: Solution, draw) -> Solution:
     return cover.solution()
 
 
-# rows priced by the first block of a pass; later blocks double in size
-_FIRST_BLOCK = 8
-
-
 def _first_move(instance: Instance, cover: CoverTracker, budget: int,
                 order: np.ndarray) -> tuple[int, int | None] | None:
     """(incoming, outgoing or None for an add) of the first movable customer in ``order``.
 
-    Adds are checked for the whole order at once.  Of the customers before
-    the first feasible add, only those :func:`_may_swap` keeps are priced,
-    in disjoint blocks that double in size, stopping at the first block
-    with a movable one.  The bound drops no movable customer, so the first
-    movable one, and its move, are those of pricing every row.  A swap
-    must fit the budget and raise profit; the best one drops the least
-    profitable partner, ties to the smaller id.  Rows are priced against
-    every customer, but a row before the first add exceeds the budget
-    unless it drops a selected one, so only selected columns can fit.
+    Row j's excess need(j) = cost + marginal(j) - budget is worked out once
+    for the whole order: j fits when it is at most 0.  Swapping j in for l
+    fits when freed(l) - kept(j, l) >= need(j) and raises profit when
+    p(l) < p(j); the best swap drops the least profitable such l, ties to
+    the smaller id, which is the first one along the instance's profit
+    order.  kept >= 0, so no l ahead of position ``first``, where the
+    running maximum of freed along that order first reaches need(j), can
+    fit, and a row whose ``first`` lies beyond its ``_lower_profits`` has
+    no move.  The customer at ``first`` frees at least need(j), so unless
+    j re-covers some of it, it is the move; otherwise the later positions
+    of lower profit are checked at once with j's kept costs patched in.
+    Unselected customers free 0 and the empty prefix reads the 0 of
+    freed's slot n, so neither is ever a partner: a row before the first
+    add exceeds the budget by at least 1.
     """
-    add_ok = (cover.cost + cover.marginal[order] <= budget).nonzero()[0]
+    need = cover.cost + cover.marginal[order] - budget
+    add_ok = (need <= 0).nonzero()[0]
     end = int(add_ok[0]) if add_ok.size else order.size
     if end:
-        profits = instance.profit_vector
-        rows = order[:end]
-        rows = rows[_may_swap(instance, cover, budget, rows)]
-        lo, size = 0, _FIRST_BLOCK
-        while lo < rows.size:
-            block = rows[lo:lo + size]
-            ok = (cover.swap_costs(block) <= budget) & (profits < profits[block][:, None])
-            movable = ok.any(axis=1).nonzero()[0]
-            if movable.size:
-                row = int(movable[0])
-                out = ok[row].nonzero()[0]
-                return int(block[row]), int(out[np.argmin(profits[out])])
-            lo, size = lo + size, 2 * size
+        by_profit, freed = instance._by_profit, cover.freed()
+        first = np.maximum.accumulate(freed[by_profit]).searchsorted(need[:end])
+        lower = instance._lower_profits[order[:end]]
+        for row in (first <= lower).nonzero()[0].tolist():
+            j, at = int(order[row]), int(first[row])
+            kept = cover.kept(j)
+            best = int(by_profit[at])
+            if freed[best] - kept.get(best, 0) >= need[row]:
+                return j, best
+            later = by_profit[at + 1:lower[row] + 1]
+            patch = np.zeros_like(freed)
+            patch[list(kept)] = list(kept.values())
+            fits = (freed[later] - patch[later] >= need[row]).nonzero()[0]
+            if fits.size:
+                return j, int(later[fits[0]])
     return (int(order[end]), None) if end < order.size else None
-
-
-def _may_swap(instance: Instance, cover: CoverTracker, budget: int,
-              rows: np.ndarray) -> np.ndarray:
-    """Mask over ``rows`` (unselected ids that do not fit): False where no
-    feasible profit-raising swap exists.
-
-    kept(j, l) >= 0, so swapping j in for l costs at least
-    cost + marginal(j) - freed(l): j can move only if some selected l with
-    p(l) < p(j) has freed(l) >= cost + marginal(j) - budget.  Along the
-    instance's profit order the largest freed among the k least profitable
-    customers is a running maximum, read for row j at k = the number of
-    profits strictly below p(j).  Unselected customers join it with freed
-    0, and the empty prefix reads the 0 of freed's slot n; neither changes
-    the mask, since a row that does not fit exceeds the budget by at
-    least 1.
-    """
-    most = np.maximum.accumulate(cover.freed()[instance._by_profit])
-    return most[instance._lower_profits[rows]] >= cover.cost + cover.marginal[rows] - budget
 
 
 def fhc(instance: Instance, budget: int, params: FhcParams, seed: int) -> Solution:

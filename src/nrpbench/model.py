@@ -353,21 +353,21 @@ class CoverTracker:
     scalar reads and writes through memoryviews of ``counts`` and
     ``marginal``: a flip touches a few dozen entries, too few to pay for
     numpy calls.  The views share the arrays' memory and the arrays are
-    never rebound, so there is one state.  ``swap_costs`` prices 1-swaps.
-    Everything is read from the closure's index lists; marginals are
-    integers held in float64, so every comparison is exact.
+    never rebound, so there is one state.  ``freed`` and ``kept`` price
+    1-swaps.  Everything is read from the closure's index lists; marginals
+    are integers held in float64, so every comparison is exact.
 
     Pricing reads each requirement's *owner sum*: the sum of the 0-based
     ids of the selected customers that need it, which is the owner itself
     where ``counts`` is 1; and every customer's ``freed``, the cost of the
-    requirements it alone covers.  The first pricing call works both out
-    and every later flip keeps them: the owner sums with one numpy add over
-    the flipped customer's requirements, freed in the same scalar walk.  A
-    requirement whose coverage changes moves its cost in or out of the
-    flipped customer's freed; one going from one owner to two (an add) or
-    from two to one (a drop) moves it out of or into the other owner's.
-    A tracker that never prices (a construction's) pays a few ``is None``
-    tests per flip for them.
+    requirements it alone covers.  The first call to either pricing method
+    works both out and every later flip keeps them: the owner sums with
+    one numpy add over the flipped customer's requirements, freed in the
+    same scalar walk.  A requirement whose coverage changes moves its cost
+    in or out of the flipped customer's freed; one going from one owner to
+    two (an add) or from two to one (a drop) moves it out of or into the
+    other owner's.  A tracker that never prices (a construction's) pays a
+    few ``is None`` tests per flip for them.
     """
 
     def __init__(self, instance: Instance, start: Iterable[int] = ()):
@@ -437,8 +437,8 @@ class CoverTracker:
         """freed(l) for every customer l, then a 0 at index n.
 
         freed(l) is the cost of the requirements only l covers, which
-        dropping l saves (zero for an unselected l).  The first call starts
-        pricing: it works out the owner sums and freed from the selection,
+        dropping l saves (zero for an unselected l).  The first pricing
+        call works out the owner sums and freed from the selection,
         and from then on every flip keeps both, so the array returned is
         the tracker's own and follows later flips.
         """
@@ -454,31 +454,25 @@ class CoverTracker:
             self._owner_v, self._freed_v = memoryview(self._owner_sum), memoryview(self._freed)
         return self._freed
 
-    def swap_costs(self, incoming) -> np.ndarray:
-        """Union cost after swapping j in for l; rows follow ``incoming``, columns every customer.
+    def kept(self, index: int) -> dict[int, int]:
+        """kept(j, l) for unselected j = ``index``, per selected l with a nonzero one.
 
-        ``incoming`` are unselected 0-based ids.  Dropping l frees the
-        requirements only l covers, except those j re-covers:
-        cost(S + j - l) = cost + marginal(j) - freed(l) + kept(j, l), where
-        freed(l) sums l's singly covered requirements and kept(j, l)
-        restricts that sum to the ones j needs.  For an unselected l both
-        are 0, so its column is cost + marginal(j): adding j alone.
-
-        A singly covered requirement's *owner* is its owner sum, which the
-        flips keep (see :meth:`freed`); kept is a weighted count of the
-        incoming rows' closure entries by (row, owner), read at those
-        entries only.  Apart from the n columns of the result, work is
-        proportional to the incoming rows' closures.
+        Dropping l frees the requirements only l covers, except those j
+        re-covers, so swapping j in for l costs
+        cost + marginal(j) - freed(l) + kept(j, l), where kept(j, l) is the
+        cost of l's singly covered requirements that j needs.  A walk over
+        j's closure reads each singly covered requirement's owner, its owner
+        sum, through the tracker's views; an l missing from the result keeps
+        0.  Starts pricing, as :meth:`freed` does.
         """
-        freed = self.freed()
-        n = self._inst.n_customers
-        rows = [self._idx[j] for j in incoming]
-        req = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
-        row = np.repeat(np.arange(len(rows)), [r.size for r in rows])
-        owner = np.where(self.counts[req] == 1, self._owner_sum[req], n)
-        kept = np.bincount(row * (n + 1) + owner, weights=self._cost_f[req],
-                           minlength=len(rows) * (n + 1)).reshape(len(rows), n + 1)
-        return kept[:, :n] - freed[:n] + (self.cost + self.marginal[incoming])[:, None]
+        self.freed()
+        counts, owner_sum, cost = self._counts_v, self._owner_v, self._cost
+        kept: dict[int, int] = {}
+        for r in self._idx[index].tolist():
+            if counts[r] == 1:
+                l = owner_sum[r]
+                kept[l] = kept.get(l, 0) + cost[r]
+        return kept
 
     def solution(self) -> Solution:
         """The current selection as a :class:`Solution`, read from the tracker's state."""

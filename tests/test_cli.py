@@ -55,6 +55,30 @@ def test_gen_to_file_reports_counts(tmp_path):
     assert (inst.n_requirements, inst.n_customers) == (140, 100)
 
 
+def test_gen_and_solve_create_missing_output_directories(toy_file, tmp_path, capsys):
+    # like bench's out and dump, the parents of gen --out and solve --dump are made
+    inst_path = tmp_path / "new" / "deeper" / "i.txt"
+    assert cli.main(["gen", "NRP-1", "--seed", "1", "--out", str(inst_path)]) == 0
+    assert read_instance(inst_path.read_text()).n_customers == 100
+    dump = tmp_path / "dumps" / "x.json"
+    assert cli.main(["solve", str(toy_file), "--algo", "fhc", "--seed", "1",
+                     "--dump", str(dump)]) == 0
+    assert json.loads(dump.read_text())["algorithm"] == "fhc"
+    assert capsys.readouterr().err.startswith("time: ")
+
+
+def test_solve_refuses_an_unmakeable_dump_path_before_solving(toy_file, tmp_path, capsys,
+                                                             monkeypatch):
+    # a dump directory that cannot be made (its parent is a file) is a data
+    # error raised before the solver runs or anything is printed
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(cli, "solve_one", lambda *a: pytest.fail("solved before the dump check"))
+    rc = cli.main(["solve", str(toy_file), "--algo", "fhc",
+                   "--dump", str(tmp_path / "file" / "sub" / "x.json")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
 def test_gen_repeat_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     run_cli("gen", "NRP-1", "--seed", "7", "--out", a)

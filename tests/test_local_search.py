@@ -144,8 +144,8 @@ CLIMBS = {"improve": (improve, lambda gen, k: [gen.integers(0, k)]),
 @pytest.mark.parametrize("ratio", ["0.3", "0.5", "0.7"])
 @pytest.mark.parametrize("name", list(CLIMBS))
 def test_climbs_match_brute_force_reference(name, ratio, monkeypatch):
-    # NRP-1 has 100 customers, about half of them unselected, so passes run
-    # well past sweep_improve's first block of priced rows
+    # NRP-1 has 100 customers, about half of them unselected, so passes try
+    # many rows before they find a move
     climb, draw = CLIMBS[name]
     inst = generate(builtin_spec("NRP-1"), 1)
     bud = budget(inst, ratio)
@@ -265,28 +265,31 @@ def test_sweep_matches_unfiltered_pricing(family, ratio, monkeypatch):
 
 
 def test_sweep_prices_few_rows(monkeypatch):
-    # the haco-sweep benchmark cells at solver seed 1: without the row bound,
-    # pricing reaches 26718 of the 274144 rows the passes order (about 1/10);
-    # with it, exactly 3682, so a bound that prunes differently fails here
-    swap_costs, first_move = CoverTracker.swap_costs, local_search._first_move
-    priced, ordered = [0], [0]
+    # the haco-sweep benchmark cells at solver seed 1: of the 274144 rows the
+    # passes order, exactly 812 have their closures walked.  799 passes end in
+    # a swap, so only 13 walked rows have no move; a bound that prunes
+    # differently fails here
+    kept, first_move = CoverTracker.kept, local_search._first_move
+    walked, ordered, swaps = [0], [0], [0]
 
-    def count_priced(self, incoming):
-        priced[0] += len(incoming)
-        return swap_costs(self, incoming)
+    def count_walked(self, index):
+        walked[0] += 1
+        return kept(self, index)
 
     def count_ordered(instance, cover, bud, order):
         ordered[0] += order.size
-        return first_move(instance, cover, bud, order)
+        move = first_move(instance, cover, bud, order)
+        swaps[0] += move is not None and move[1] is not None
+        return move
 
-    monkeypatch.setattr(CoverTracker, "swap_costs", count_priced)
+    monkeypatch.setattr(CoverTracker, "kept", count_walked)
     monkeypatch.setattr(local_search, "_first_move", count_ordered)
     params = AcoParams(ants=2, iterations=2, use_local_search=True)
     for family in ("NRP-2", "NRP-3"):
         inst = generate(builtin_spec(family), 1)
         for ratio in ("0.3", "0.5", "0.7"):
             solve_one(inst, budget(inst, ratio), "haco", 1, params)
-    assert (priced[0], ordered[0]) == (3682, 274144)
+    assert (walked[0], swaps[0], ordered[0]) == (812, 799, 274144)
 
 
 def test_fhc_escapes_local_optimum_with_restarts(toy):

@@ -11,7 +11,7 @@ from nrpbench import (AcoParams, CoverTracker, FhcParams, GraspParams, SaParams,
                       write_instance)
 from nrpbench.aco import _roulette_select
 from nrpbench.baselines import _top_k
-from nrpbench.local_search import _may_swap, random_feasible, sweep_improve
+from nrpbench.local_search import _first_move, random_feasible, sweep_improve
 
 # derandomized: the tier-1 suite gives the same verdict on every run
 FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -75,16 +75,15 @@ def test_cover_tracker_agrees_with_evaluate(inst, toggles):
         fresh = CoverTracker(inst, chosen)
         assert fresh.cost == cover.cost
         assert (fresh.marginal == cover.marginal).all()
-        incoming = sorted(set(range(1, inst.n_customers + 1)) - chosen)
-        # all rows at once and a strict subset in reverse order, each against
-        # every customer: a selected l is swapped out, an unselected one is
-        # not in the selection, so its column is the cost of adding j alone
-        for rows in (incoming, incoming[1::2][::-1]):
-            costs = cover.swap_costs([j - 1 for j in rows])
-            assert costs.shape == (len(rows), inst.n_customers)
-            for j, row in zip(rows, costs):
-                for l, cost in enumerate(row.tolist(), start=1):
-                    assert cost == evaluate(inst, chosen - {l} | {j}).cost
+        # kept prices every swap: dropping a selected l (0 for any other, whose
+        # drop changes nothing) and adding an unselected j
+        for j in sorted(set(range(1, inst.n_customers + 1)) - chosen):
+            kept = cover.kept(j - 1)
+            assert set(kept) <= {c - 1 for c in chosen}
+            add = cover.cost + cover.marginal[j - 1]
+            for l in range(1, inst.n_customers + 1):
+                cost = add - cover.freed()[l - 1] + kept.get(l - 1, 0)
+                assert cost == evaluate(inst, chosen - {l} | {j}).cost
 
 
 @FAST
@@ -144,15 +143,23 @@ def test_sweep_improve_leaves_no_move(case, seed):
     assert bf.has_improving_move(inst, out, bud) is None
 
 
-@FAST
-@given(instance_and_budget(), st.lists(st.integers(0, 6), max_size=12))
-def test_swap_bound_drops_only_unmovable_customers(case, toggles):
-    # a random feasible selection: each toggle drops a selected customer or
-    # adds one that still fits; freed() is read first, so the owner sums it
-    # builds are carried through every flip
-    inst, bud = case
-    profits = inst.profit_vector
-    cover = CoverTracker(inst)
+class _WalkCounter(CoverTracker):
+    """A tracker that records whose closure :meth:`CoverTracker.kept` walks."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.walked = []
+
+    def kept(self, index):
+        self.walked.append(index)
+        return super().kept(index)
+
+
+def _feasible_cover(inst, bud, toggles):
+    """A random feasible selection: each toggle drops a selected customer or
+    adds one that still fits; freed() is read first, so the owner sums it
+    builds are carried through every flip."""
+    cover = _WalkCounter(inst)
     cover.freed()
     for t in toggles:
         if inst.n_customers == 0:
@@ -162,23 +169,86 @@ def test_swap_bound_drops_only_unmovable_customers(case, toggles):
             cover.drop(i)
         elif cover.cost + cover.marginal[i] <= bud:
             cover.add(i)
-    chosen = {int(c) + 1 for c in cover.selected.nonzero()[0]}
+    return cover, {int(c) + 1 for c in cover.selected.nonzero()[0]}
+
+
+@FAST
+@given(instance_and_budget(), st.lists(st.integers(0, 6), max_size=12))
+def test_swap_bound_drops_only_unmovable_customers(case, toggles):
+    # a one-row order walks its row's closure exactly when the bound keeps it
+    inst, bud = case
+    profits = inst.profit_vector
+    cover, chosen = _feasible_cover(inst, bud, toggles)
     for l in range(1, inst.n_customers + 1):
         freed = cover.cost - evaluate(inst, chosen - {l}).cost if l in chosen else 0
         assert cover.freed()[l - 1] == freed
-    rows = (~cover.selected).nonzero()[0]
-    keep = _may_swap(inst, cover, bud, rows)
-    for j, kept in zip(rows + 1, keep.tolist()):
+    for j in (~cover.selected).nonzero()[0] + 1:
+        excess = evaluate(inst, chosen | {j}).cost - bud
+        if excess <= 0:  # an add: rows that fit are not bounded
+            continue
+        cover.walked.clear()
+        _first_move(inst, cover, bud, np.array([j - 1]))
+        kept = cover.walked == [j - 1]
+        assert kept or cover.walked == []
         lower = [l for l in chosen if profits[l - 1] < profits[j - 1]]
         if not kept:
             for l in lower:
                 assert evaluate(inst, chosen - {l} | {j}).cost > bud, (j, l)
-        # a row that does not fit is kept exactly when the bound holds for
-        # some less profitable selected l (rows that fit are not bounded)
-        excess = evaluate(inst, chosen | {j}).cost - bud
-        if excess > 0:
-            want = any(cover.cost - evaluate(inst, chosen - {l}).cost >= excess for l in lower)
-            assert kept == want, j
+        # kept exactly when the bound holds for some less profitable selected l
+        want = any(cover.cost - evaluate(inst, chosen - {l}).cost >= excess for l in lower)
+        assert kept == want, j
+
+
+@st.composite
+def swap_states(draw):
+    """A feasible selection on a budget it nearly fills, over customers of
+    distinct or pairwise tied profits: a state where swaps are common."""
+    n = draw(st.integers(3, 8))
+    costs = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    pairs = [(a, b) for b in range(2, n + 1) for a in range(1, b)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+    requests = draw(st.lists(st.lists(st.integers(1, n), min_size=1, max_size=3),
+                             min_size=3, max_size=8))
+    ranks = draw(st.permutations(range(2, len(requests) + 2)))
+    tie = draw(st.sampled_from([1, 2]))
+    inst = make_instance(costs, edges, [(r // tie, q) for r, q in zip(ranks, requests)])
+    flags = draw(st.lists(st.booleans(), min_size=len(requests), max_size=len(requests)))
+    cover = CoverTracker(inst, [i + 1 for i, f in enumerate(flags) if f])
+    return inst, cover.cost + draw(st.integers(0, 2)), cover
+
+
+@settings(FAST, max_examples=400)
+@given(swap_states())
+def test_first_move_finds_the_best_swap(case):
+    # for a row that does not fit, the lookup's partner is the least profitable
+    # (then smallest-id) selected customer of lower profit whose swap fits
+    inst, bud, cover = case
+    profits = inst.profit_vector
+    chosen = {int(c) + 1 for c in cover.selected.nonzero()[0]}
+    for j in (~cover.selected).nonzero()[0] + 1:
+        if evaluate(inst, chosen | {j}).cost <= bud:
+            continue
+        fits = [l for l in sorted(chosen) if profits[l - 1] < profits[j - 1]
+                and evaluate(inst, chosen - {l} | {j}).cost <= bud]
+        want = (j - 1, min(fits, key=lambda l: profits[l - 1]) - 1) if fits else None
+        assert _first_move(inst, cover, bud, np.array([j - 1])) == want, j
+
+
+def test_first_move_scans_past_a_partner_the_incomer_re_covers():
+    # customers 1-3 (profits 1, 2, 3) each alone cover one requirement of
+    # cost 5; 4 and 5 need the first two of them and one uncovered one.  At
+    # budget 15 each incomer exceeds it by 5, which customer 1 frees first,
+    # but 4 and 5 re-cover what 1 and 2 free: 4 (profit 10) swaps out 3, and
+    # 5 (profit 3) has no partner of lower profit left
+    inst = make_instance([5] * 5, [], [(1, [1]), (2, [2]), (3, [3]), (10, [1, 2, 4]),
+                                       (3, [1, 2, 5])])
+    cover = CoverTracker(inst, [1, 2, 3])
+    bud = 15
+    assert cover.cost + cover.marginal[3] - bud == cover.freed()[0] == 5
+    assert evaluate(inst, [2, 3, 4]).cost > bud and evaluate(inst, [1, 3, 4]).cost > bud
+    assert _first_move(inst, cover, bud, np.array([3])) == (3, 2)
+    assert _first_move(inst, cover, bud, np.array([4])) is None
+    assert _first_move(inst, cover, bud, np.array([4, 3])) == (3, 2)
 
 
 @FAST
