@@ -86,11 +86,9 @@ _instance_cache: dict = {}
 
 
 def _load_cached(source) -> Instance:
-    inst = _instance_cache.get(source)
-    if inst is None:
-        inst = source.load()
-        _instance_cache[source] = inst
-    return inst
+    if source not in _instance_cache:
+        _instance_cache[source] = source.load()
+    return _instance_cache[source]
 
 
 class ConfigError(ValueError):
@@ -260,11 +258,8 @@ def parse_bench_config(path) -> BenchConfig:
         if seed < 0:
             raise ConfigError(f"generate entry {token!r} has a negative seed")
         sources.append(GenSource(spec, seed))
-    for token in b.get("files", "").split():
-        p = Path(token)
-        if not p.is_absolute():
-            p = base / p
-        sources.append(FileSource(str(p)))
+    # relative to the config's directory; joining keeps an absolute path as it is
+    sources += [FileSource(str(base / token)) for token in b.get("files", "").split()]
 
     ratios = b.get("ratios", "0.3 0.5 0.7").split()
     try:

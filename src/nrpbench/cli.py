@@ -109,11 +109,9 @@ def _cmd_gen(args) -> int:
         raise UsageError("--seed must be non-negative")
     if args.spec:
         try:
-            data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-            spec = spec_from_dict(data)
-        except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as e:
-            print(f"error: bad spec file: {e}", file=sys.stderr)
-            return EXIT_DATA
+            spec = spec_from_dict(json.loads(Path(args.spec).read_text(encoding="utf-8")))
+        except (OSError, ValueError, TypeError, KeyError) as e:
+            raise ValueError(f"bad spec file: {e}") from None
     else:
         try:
             spec = builtin_spec(args.family)
@@ -196,8 +194,7 @@ def _cmd_verify(args) -> int:
     try:
         dump = json.loads(Path(args.dump).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
-        print(f"error: bad dump file: {e}", file=sys.stderr)
-        return EXIT_DATA
+        raise ValueError(f"bad dump file: {e}") from None
     problems = verify_dump(inst, dump)
     if args.budget_ratio is not None:
         expect = _parse_ratio(inst, args.budget_ratio)
@@ -227,10 +224,7 @@ def main(argv=None) -> int:
     except TooLargeError as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, InvalidInstanceError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError) as e:
+    except (ParseError, InvalidInstanceError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

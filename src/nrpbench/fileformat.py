@@ -13,9 +13,13 @@ Layout (1-based requirement ids, assigned level by level in file order)::
 
 Parsing is strict: wrong counts, non-integer tokens, truncation, and
 trailing garbage all raise :class:`ParseError` with the offending line.
+Line breaks carry no meaning: the reader takes the tokens as one stream,
+so a section may span lines or share one with the next.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .model import Instance, make_instance
 
@@ -27,75 +31,51 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {cause}")
 
 
-class _Tokens:
-    """Line-oriented integer scanner that remembers its position."""
-
-    def __init__(self, text: str):
-        self._lines = text.splitlines()
-        self._row = 0
-        self._buf: list[str] = []
-
-    @property
-    def line_no(self) -> int:
-        return self._row
-
-    def next_int(self, what: str) -> int:
-        while not self._buf:
-            if self._row >= len(self._lines):
-                raise ParseError(self._row + 1, f"unexpected end of input, expected {what}")
-            self._buf = self._lines[self._row].split()
-            self._row += 1
-        tok = self._buf.pop(0)
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(self._row, f"expected {what}, got {tok!r}") from None
-
-    def expect_end(self) -> None:
-        if self._buf:
-            raise ParseError(self._row, f"trailing garbage: {' '.join(self._buf)!r}")
-        row = self._row
-        while row < len(self._lines):
-            if self._lines[row].split():
-                raise ParseError(row + 1, f"trailing garbage: {self._lines[row].strip()!r}")
-            row += 1
-
-
 def read_instance(text: str) -> Instance:
-    """Parse the canonical format; inverse of :func:`write_instance`."""
-    tk = _Tokens(text)
-    n_levels = tk.next_int("level count")
-    if n_levels < 0:
-        raise ParseError(tk.line_no, f"negative level count {n_levels}")
-    level_sizes = []
-    costs: list[int] = []
-    for lv in range(n_levels):
-        k = tk.next_int(f"requirement count of level {lv + 1}")
+    """Parse the canonical format; inverse of :func:`write_instance`.
+
+    The text is one stream of (line number, token) pairs, read top to
+    bottom through ``read``; a token left over at the end is trailing
+    garbage.
+    """
+    lines = text.splitlines()
+    tokens = ((no, tok) for no, line in enumerate(lines, 1) for tok in line.split())
+    row = 0  # the line of the last token read
+
+    def read(count: int, *what: str) -> list[int]:
+        """The next ``count`` tokens as integers; token k is ``what[k % len(what)]``."""
+        nonlocal row
+        out: list[int] = []
+        # no text holds more tokens than characters, and islice takes no stop past sys.maxsize
+        for row, tok in islice(tokens, min(count, len(text))):
+            try:
+                out.append(int(tok))
+            except ValueError:
+                raise ParseError(row, f"expected {what[len(out) % len(what)]}, got {tok!r}") from None
+        if len(out) < count:
+            raise ParseError(len(lines) + 1,
+                             f"unexpected end of input, expected {what[len(out) % len(what)]}")
+        return out
+
+    def count(noun: str, whose: str = "") -> int:
+        (k,) = read(1, noun + whose)
         if k < 0:
-            raise ParseError(tk.line_no, f"negative requirement count {k}")
-        level_sizes.append(k)
-        costs.extend(tk.next_int(f"cost in level {lv + 1}") for _ in range(k))
-    n_deps = tk.next_int("dependency count")
-    if n_deps < 0:
-        raise ParseError(tk.line_no, f"negative dependency count {n_deps}")
-    edges = []
-    for _ in range(n_deps):
-        p = tk.next_int("dependency source")
-        q = tk.next_int("dependency target")
-        edges.append((p, q))
-    n_cust = tk.next_int("customer count")
-    if n_cust < 0:
-        raise ParseError(tk.line_no, f"negative customer count {n_cust}")
+            raise ParseError(row, f"negative {noun} {k}")
+        return k
+
+    level_sizes, costs = [], []
+    for lv in range(1, count("level count") + 1):
+        level_sizes.append(count("requirement count", f" of level {lv}"))
+        costs += read(level_sizes[-1], f"cost in level {lv}")
+    ends = read(2 * count("dependency count"), "dependency source", "dependency target")
     customers = []
-    for i in range(n_cust):
-        w = tk.next_int(f"profit of customer {i + 1}")
-        s = tk.next_int(f"request count of customer {i + 1}")
-        if s < 0:
-            raise ParseError(tk.line_no, f"negative request count {s}")
-        reqs = tuple(tk.next_int(f"request of customer {i + 1}") for _ in range(s))
-        customers.append((w, reqs))
-    tk.expect_end()
-    return make_instance(costs, edges, customers, level_sizes)
+    for i in range(1, count("customer count") + 1):
+        (w,) = read(1, f"profit of customer {i}")
+        customers.append((w, read(count("request count", f" of customer {i}"),
+                                  f"request of customer {i}")))
+    for row, tok in tokens:
+        raise ParseError(row, f"trailing garbage: {tok!r}")
+    return make_instance(costs, zip(ends[::2], ends[1::2]), customers, level_sizes)
 
 
 def write_instance(instance: Instance) -> str:

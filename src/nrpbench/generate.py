@@ -55,8 +55,7 @@ class GenSpec:
                 raise ValueError(f"bad cost range {lv.cost_min}..{lv.cost_max}")
             if lv.count < 1:
                 raise ValueError("level count must be positive")
-        total = sum(lv.count for lv in self.levels)
-        if not (1 <= self.request_min <= self.request_max <= total):
+        if not (1 <= self.request_min <= self.request_max <= self.total_requirements):
             raise ValueError(f"bad request range {self.request_min}..{self.request_max}")
         if not (1 <= self.profit_min <= self.profit_max):
             raise ValueError(f"bad profit range {self.profit_min}..{self.profit_max}")

@@ -50,9 +50,10 @@ import numpy as np
 class InvalidInstanceError(Exception):
     """Raised by :class:`Instance` on malformed raw data.
 
-    ``issues`` holds every :class:`ValidationIssue` found: ``cyclic-dependency``
-    (with one concrete cycle), ``bad-id`` (edge or request outside 1..n)
-    and ``non-positive-value`` (cost or profit below 1).
+    ``issues`` holds every :class:`ValidationIssue` found: ``non-positive-value``
+    (cost or profit below 1), ``total-too-large`` (total cost or profit of
+    2**53 or more), ``bad-id`` (edge or request outside 1..n) and
+    ``cyclic-dependency`` (with one concrete cycle).
     """
 
     def __init__(self, issues: Sequence[ValidationIssue]):
@@ -94,7 +95,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    kind: str  # "cyclic-dependency" | "bad-id" | "non-positive-value"
+    kind: str  # "non-positive-value" | "total-too-large" | "bad-id" | "cyclic-dependency"
     message: str
 
     def __str__(self) -> str:
@@ -109,9 +110,9 @@ class Instance:
     customer) and ``level_sizes``.  ``requirements``, ``customers`` and
     ``graph`` are views of them, built on first access; no solver reads them.
 
-    Build through :func:`make_instance`.  Malformed raw data (a cycle, an
-    id out of range, a cost or profit below 1) raises
-    :class:`InvalidInstanceError`, so every instance that exists is valid.
+    Build through :func:`make_instance`.  One pass over the raw parts finds
+    every issue and raises :class:`InvalidInstanceError`, so every instance
+    that exists is valid; the closure walk reads the parent lists it builds.
     ``cost_vector``, ``profit_vector``, ``closure_indices`` (per customer,
     the sorted 0-based requirement indices of its closure) and
     ``closure_cost_vector`` are the solver-facing numpy views.
@@ -134,28 +135,19 @@ class Instance:
         costs = list(map(int, costs))
         edge_list = [(int(p), int(q)) for p, q in edges]
         raw_customers = [(int(w), tuple(map(int, reqs))) for w, reqs in customers]
-        profits = [w for w, _reqs in raw_customers]
-        requests = tuple(reqs for _w, reqs in raw_customers)
-
+        profits, requests = [w for w, _ in raw_customers], tuple(r for _, r in raw_customers)
         n, m = len(costs), len(raw_customers)
         if level_sizes is None:
             level_sizes = (n,) if n else ()
         level_sizes = tuple(int(k) for k in level_sizes)
         if sum(level_sizes) != n or min(level_sizes, default=0) < 0:
             raise ValueError(f"level sizes {level_sizes} must be non-negative and sum to {n}")
-        # the fast check; _check_structure words the issues when it fails
-        ends = list(chain(*edge_list))
-        ids = ends + list(chain(*requests))
-        valid = (min(costs + profits, default=1) >= 1
-                 and min(ids, default=1) >= 1 and max(ids, default=0) <= n)
-        order, parents = _kahn(n, edge_list) if valid else ([], [])
-        if not valid or len(order) < n:
-            raise InvalidInstanceError(_check_structure(costs, edge_list, raw_customers))
+        parents = _check(costs, profits, edge_list, requests)
 
         self.level_sizes = level_sizes
         self.total_cost = sum(costs)
         self._cost = costs
-        self._edges = np.asarray(ends, dtype=np.intp).reshape(len(edge_list), 2)
+        self._edges = np.fromiter(chain.from_iterable(edge_list), np.intp).reshape(-1, 2)
         self._requests = requests
         self.cost_vector = np.asarray(costs, dtype=np.int64)
         self._cost_f64 = self.cost_vector.astype(np.float64)
@@ -247,34 +239,32 @@ def make_instance(
     return Instance(costs, edges, customers, level_sizes)
 
 
-def _check_structure(costs, edges, raw_customers) -> list[ValidationIssue]:
-    """Every issue of the raw parts; empty when they make a valid instance."""
-    issues: list[ValidationIssue] = []
+def _check(costs, profits, edges, requests) -> list[list[int]]:
+    """The parent lists of ids 1..n; raises :class:`InvalidInstanceError`
+    listing every issue: costs, then profits, below 1; totals of 2**53 or
+    more; edge ends, then requests, out of range; and, when every edge end
+    is in range, a cycle, walked back through the parents of the ids Kahn's
+    order leaves out.
+    """
     n = len(costs)
-
-    for i, c in enumerate(costs):
-        if c < 1:
-            issues.append(ValidationIssue("non-positive-value", f"requirement {i + 1} has cost {c}"))
-    for i, (w, _reqs) in enumerate(raw_customers):
-        if w < 1:
-            issues.append(ValidationIssue("non-positive-value", f"customer {i + 1} has profit {w}"))
-
-    ids_ok = True
-    for p, q in edges:
-        for e in (p, q):
-            if not 1 <= e <= n:
-                issues.append(ValidationIssue("bad-id", f"edge ({p}, {q}) references requirement {e}"))
-                ids_ok = False
-    for i, (_w, reqs) in enumerate(raw_customers):
-        for r in reqs:
-            if not 1 <= r <= n:
-                issues.append(ValidationIssue("bad-id", f"customer {i + 1} requests requirement {r}"))
-
-    # a cycle (sought only when every edge id is in range): walk back through
-    # the parents of the ids Kahn's order leaves out
-    order, parents = _kahn(n, edges) if ids_ok else (range(1, n + 1), [])
-    leftover = set(range(1, n + 1)).difference(order)
-    if leftover:
+    issues = [ValidationIssue("non-positive-value", f"requirement {i} has cost {c}")
+              for i, c in enumerate(costs, 1) if c < 1]
+    issues += [ValidationIssue("non-positive-value", f"customer {i} has profit {w}")
+               for i, w in enumerate(profits, 1) if w < 1]
+    # below 2**53 every sum of costs or profits is exact in float64 and int64
+    issues += [ValidationIssue("total-too-large", f"total {what} {total} is 2**53 or more")
+               for what, total in (("cost", sum(costs)), ("profit", sum(profits)))
+               if total >= 2**53]
+    # the outer test skips the inner tuple for the (usual) edge that is in range
+    bad_edges = [ValidationIssue("bad-id", f"edge ({p}, {q}) references requirement {e}")
+                 for p, q in edges if not (0 < p <= n and 0 < q <= n)
+                 for e in (p, q) if not 0 < e <= n]
+    issues += bad_edges
+    issues += [ValidationIssue("bad-id", f"customer {i} requests requirement {r}")
+               for i, reqs in enumerate(requests, 1) for r in reqs if not 0 < r <= n]
+    order, parents = _kahn(n, edges) if not bad_edges else (range(1, n + 1), [])
+    if len(order) < n:
+        leftover = set(range(1, n + 1)).difference(order)
         trail, pos = [min(leftover)], {}
         while trail[-1] not in pos:
             pos[trail[-1]] = len(trail) - 1
@@ -282,7 +272,9 @@ def _check_structure(costs, edges, raw_customers) -> list[ValidationIssue]:
         # trail follows parent links, so forward edges run right-to-left
         path = " -> ".join(map(str, trail[pos[trail[-1]]:][::-1]))
         issues.append(ValidationIssue("cyclic-dependency", f"dependency cycle {path}"))
-    return issues
+    if issues:
+        raise InvalidInstanceError(issues)
+    return parents
 
 
 def _kahn(n: int, edges) -> tuple[list[int], list[list[int]]]:

@@ -1,6 +1,21 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import nrpbench
 from nrpbench import baselines, builtin_spec, generate, make_instance, write_instance_file
+
+# the package the tests import, so a subprocess runs the same code
+SRC = str(Path(nrpbench.__file__).resolve().parents[1])
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment for a test that starts the package in a subprocess:
+    ``SRC`` first on ``PYTHONPATH``, so the child finds the package whether
+    or not it is installed."""
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 # filled by test_acceptance via the `criterion` fixture, printed at the end
 ACCEPTANCE_LINES: list[str] = []

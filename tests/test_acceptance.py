@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 import bruteforce as bf
+from conftest import subprocess_env
 from nrpbench import (AcoParams, FhcParams, GraspParams, InvalidInstanceError, SaParams, budget,
                       builtin_spec, generate, rng, run, solve_one)
 from nrpbench.aco import _selection_probabilities
@@ -175,8 +176,8 @@ def test_criterion_7_midsize_instance_within_budget(criterion):
 def _cli(*argv):
     # a hung solver fails this criterion with TimeoutExpired instead of
     # stalling the suite
-    return subprocess.run([sys.executable, "-m", "nrpbench.cli",
-                           *map(str, argv)], capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "nrpbench.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=subprocess_env(), timeout=300)
 
 
 BENCH_INI = """\

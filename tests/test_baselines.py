@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
+from conftest import subprocess_env
 from nrpbench import (CoverTracker, GraspParams, SaParams, budget,
                       builtin_spec, evaluate, exact, generate, make_instance, rng)
 from nrpbench.baselines import (_calibrate_temp, _frozen, grasp, grasp_construct, lundy_mees,
@@ -355,7 +356,7 @@ def test_import_leaves_scipy_unloaded():
     # scipy costs about 0.7 s and 47 MB to import; only exact's first call pays it
     code = "import sys, nrpbench; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, check=True)
+                          env=subprocess_env(), timeout=60, check=True)
     assert proc.stdout == "False\n"
 
 

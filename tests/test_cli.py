@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bruteforce as bf
+from conftest import subprocess_env
 from nrpbench import (ConfigError, InvalidInstanceError, bench, budget, cli, evaluate, exact,
                       make_instance, parse_bench_config, read_instance, write_instance_file)
 from nrpbench.bench import ALGORITHMS, default_params
@@ -26,7 +27,8 @@ CLI_TIMEOUT_S = 300
 
 def run_cli(*argv, cwd=None):
     proc = subprocess.run([sys.executable, "-m", "nrpbench.cli", *map(str, argv)],
-                          capture_output=True, text=True, cwd=cwd, timeout=CLI_TIMEOUT_S)
+                          capture_output=True, text=True, cwd=cwd, env=subprocess_env(),
+                          timeout=CLI_TIMEOUT_S)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -107,7 +109,8 @@ def test_gen_custom_spec(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     rc, _, err = run_cli("gen", "--spec", bad, "--out", tmp_path / "x.txt")
-    assert rc == 2 and "bad spec file" in err
+    assert rc == 2 and err == ("error: bad spec file: Expecting property name enclosed in "
+                               "double quotes: line 1 column 2 (char 1)\n")
     # a negative or fractional customer count is a bad spec, not 0 or 2 customers
     for count in (-5, 2.7):
         bad.write_text(json.dumps({**spec, "customer_count": count}))
@@ -196,6 +199,17 @@ def test_verify_malformed_dump_is_a_data_error(toy_file, tmp_path, dump):
     assert "Traceback" not in err
 
 
+def test_verify_unreadable_dump_is_a_data_error(toy_file, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert run_cli("verify", toy_file, path)[::2] == (2, (
+        "error: bad dump file: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n"))
+    missing = tmp_path / "missing.json"
+    assert run_cli("verify", toy_file, missing)[::2] == (
+        2, f"error: bad dump file: [Errno 2] No such file or directory: '{missing}'\n")
+
+
 @pytest.mark.parametrize("algo", ["haco", "aco"])
 def test_solve_colony_on_degenerate_instances(tmp_path, algo):
     # customer 1 requests nothing: free profit that must be selected
@@ -276,6 +290,8 @@ MALFORMED = {
     "cyclic": ("1\n2\n1 1\n2\n1 2\n2 1\n1\n5 1 1\n", ["cyclic-dependency"]),
     # a zero cost, and a request for requirement 9 of 2
     "zero-cost-bad-id": ("1\n2\n0 1\n0\n1\n5 1 9\n", ["non-positive-value", "bad-id"]),
+    # a cost past int64, which the solvers once met as an OverflowError traceback
+    "huge-cost": ("1\n2\n99999999999999999999 1\n0\n1\n5 1 1\n", ["total-too-large"]),
 }
 
 
@@ -299,6 +315,7 @@ def test_solve_and_verify_refuse_malformed_files(name, toy_file, tmp_path):
         assert rc == 2 and out == ""
         # one error line naming every issue, no traceback
         assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
         assert err.startswith("error: instance failed validation: ")
         assert all(f"{kind}: " in err for kind in kinds)
 
@@ -310,10 +327,11 @@ def test_bench_refuses_malformed_files(tmp_path):
     cfg.write_text(f"[bench]\nfiles = {' '.join(f'{n}.txt' for n in MALFORMED)}\n"
                    "ratios = 0.5\nseeds = 1\nalgorithms = fhc exact\nout = r\n")
     rc, out, err = run_cli("bench", cfg)
-    assert rc == 2 and "0/4 runs completed" in out
+    cells = 2 * len(MALFORMED)
+    assert rc == 2 and f"0/{cells} runs completed" in out
     assert "Traceback" not in err
     rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
-    assert len(rows) == 4
+    assert len(rows) == cells
     assert all(row.split(",")[-1].startswith("error:InvalidInstanceError: instance failed "
                                              "validation: ") for row in rows)
 

@@ -2,7 +2,6 @@
 as demo 04 writes its ``demo_results/`` there.  The package exports the API
 that README and the demos document, and nothing else."""
 
-import os
 import subprocess
 import sys
 import types
@@ -11,10 +10,9 @@ from pathlib import Path
 import pytest
 
 import nrpbench
+from conftest import subprocess_env
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-# the package the tests import, so the demos run the same code
-SRC = str(Path(nrpbench.__file__).resolve().parents[1])
 
 
 # the documented calls, the types they take and return, and the errors they raise
@@ -43,9 +41,7 @@ def test_all_four_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=subprocess_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr

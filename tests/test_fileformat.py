@@ -99,6 +99,32 @@ def test_negative_counts_rejected():
         read_instance("1\n1\n5\n-2\n")
 
 
+# each malformed text and the (line, cause) of its ParseError
+PARSE_ERRORS = {
+    "": (1, "unexpected end of input, expected level count"),
+    "1\n4\n5 3 4 2\n2\n1 2\n": (6, "unexpected end of input, expected dependency source"),
+    "1\n4\n5 x 4 2\n0\n0\n": (3, "expected cost in level 1, got 'x'"),
+    "1\n2\n3 4\n1\n1 two\n0\n": (5, "expected dependency target, got 'two'"),
+    "-1\n": (1, "negative level count -1"),
+    "1\n-4\n": (2, "negative requirement count -4"),
+    "1\n1\n5\n-2\n": (4, "negative dependency count -2"),
+    "1\n1\n5\n0\n-3\n": (5, "negative customer count -3"),
+    "1\n1\n5\n0\n1\n7 -1\n": (6, "negative request count -1"),
+    TOY_TEXT + "\n999\n": (12, "trailing garbage: '999'"),
+    # the first token left over is named
+    TOY_TEXT.rstrip("\n") + " 7 8\n": (10, "trailing garbage: '7'"),
+    # a count past sys.maxsize reads to the end like any other
+    "1\n" + "9" * 30 + "\n1 2\n": (4, "unexpected end of input, expected cost in level 1"),
+}
+
+
+@pytest.mark.parametrize("text", PARSE_ERRORS, ids=[str(i) for i in range(len(PARSE_ERRORS))])
+def test_parse_errors_name_line_and_cause(text):
+    with pytest.raises(ParseError) as exc:
+        read_instance(text)
+    assert (exc.value.line, exc.value.cause) == PARSE_ERRORS[text]
+
+
 def test_customer_with_no_requests_roundtrips():
     text = "1\n2\n3 4\n0\n1\n9 0\n"
     inst = read_instance(text)

@@ -1,8 +1,10 @@
 import tracemalloc
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, InvalidInstanceError, aco, baselines, budget,
@@ -59,6 +61,96 @@ def test_validate_self_loop_and_ids_without_requirements():
     assert [str(i) for i in issues] == ["cyclic-dependency: dependency cycle 2 -> 2"]
     assert [str(i) for i in _refusal([], [], [(5, [1])]).issues] == [
         "bad-id: customer 1 requests requirement 1"]
+
+
+def test_totals_of_2_pow_53_or_more_are_refused():
+    # at budget 2**53 this instance made haco and sa return infeasible selections,
+    # fhc and grasp raise InfeasibleStartError and exact report a HiGHS model
+    # error: float64 marginals no longer hold its costs exactly
+    err = _refusal([2**53 + 1, 1], [], [(5, [1]), (1, [2])])
+    assert [str(i) for i in err.issues] == [
+        "total-too-large: total cost 9007199254740994 is 2**53 or more"]
+    err = _refusal([1, 0], [], [(2**52, [1]), (2**52, [])])
+    assert [str(i) for i in err.issues] == [
+        "non-positive-value: requirement 2 has cost 0",
+        "total-too-large: total profit 9007199254740992 is 2**53 or more"]
+    # one below the bound is an instance, its sums exact
+    inst = make_instance([2**53 - 2, 1], [], [(2**53 - 2, [1]), (1, [1, 2])])
+    assert inst.total_cost == 2**53 - 1
+    assert inst.closure_cost_vector.tolist() == [2**53 - 2, 2**53 - 1]
+
+
+def test_kahn_runs_once_per_build(monkeypatch):
+    calls = []
+    kahn = model._kahn
+    monkeypatch.setattr(model, "_kahn", lambda *a: calls.append(a) or kahn(*a))
+    make_instance([1, 1], [(1, 2)], [(5, [2])])
+    _refusal([0, 1], [(1, 2), (2, 1)], [(5, [2])])
+    assert len(calls) == 2
+    # a bad edge end leaves the graph unread: no cycle is sought
+    assert [i.kind for i in _refusal([1], [(1, 1), (1, 2)], []).issues] == ["bad-id"]
+    assert len(calls) == 2
+
+
+@st.composite
+def raw_parts(draw):
+    """Raw parts of an instance: self-loops and cycles of any length among
+    the edges and, in half the cases, ids out of range, values below 1 and
+    totals of 2**53 or more."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        value = st.integers(1, 9) | st.integers(-2, 0) | st.just(2**52)
+        ident = st.integers(1, max(n, 1)) | st.integers(-1, n + 2)
+    else:
+        value, ident = st.integers(1, 9), st.integers(1, max(n, 1))
+    costs = draw(st.lists(value, min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(ident, ident), max_size=8))
+    customers = draw(st.lists(st.tuples(value, st.lists(ident, max_size=3)), max_size=4))
+    return costs, edges, customers
+
+
+def _issue_kinds(costs, edges, customers):
+    """The kinds of issue in the raw parts, in the order the check reports them."""
+    n = len(costs)
+    kinds = []
+    for value in costs + [w for w, _reqs in customers]:
+        if value < 1:
+            kinds.append("non-positive-value")
+    for total in (sum(costs), sum(w for w, _reqs in customers)):
+        if total >= 2**53:
+            kinds.append("total-too-large")
+    edge_ids_ok = True
+    for edge in edges:
+        for e in edge:
+            if not 1 <= e <= n:
+                kinds.append("bad-id")
+                edge_ids_ok = False
+    for _w, reqs in customers:
+        for r in reqs:
+            if not 1 <= r <= n:
+                kinds.append("bad-id")
+    if edge_ids_ok:
+        graph = nx.DiGraph(edges)
+        graph.add_nodes_from(range(1, n + 1))
+        if not nx.is_directed_acyclic_graph(graph):
+            kinds.append("cyclic-dependency")
+    return kinds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw_parts())
+def test_check_agrees_with_an_oracle(parts):
+    costs, edges, customers = parts
+    want = _issue_kinds(costs, edges, customers)
+    if not want:
+        make_instance(costs, edges, customers)
+        return
+    issues = _refusal(costs, edges, customers).issues
+    assert [i.kind for i in issues] == want
+    if want[-1] == "cyclic-dependency":
+        # the cycle reported runs along edges back to where it starts
+        path = [int(v) for v in issues[-1].message.removeprefix("dependency cycle ").split(" -> ")]
+        assert path[0] == path[-1] and set(zip(path, path[1:])) <= set(edges)
 
 
 def test_closure_of_a_long_chain():

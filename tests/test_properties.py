@@ -146,8 +146,8 @@ def test_sweep_improve_leaves_no_move(case, seed):
 class _WalkCounter(CoverTracker):
     """A tracker that records whose closure :meth:`CoverTracker.kept` walks."""
 
-    def __init__(self, instance):
-        super().__init__(instance)
+    def __init__(self, instance, start=()):
+        super().__init__(instance, start)
         self.walked = []
 
     def kept(self, index):
@@ -169,16 +169,31 @@ def _feasible_cover(inst, bud, toggles):
             cover.drop(i)
         elif cover.cost + cover.marginal[i] <= bud:
             cover.add(i)
-    return cover, {int(c) + 1 for c in cover.selected.nonzero()[0]}
+    return cover
 
 
-@FAST
-@given(instance_and_budget(), st.lists(st.integers(0, 6), max_size=12))
-def test_swap_bound_drops_only_unmovable_customers(case, toggles):
+@st.composite
+def swap_states(draw):
+    """A feasible selection on a budget it nearly fills, over customers of
+    distinct or pairwise tied profits: a state where swaps are common."""
+    n = draw(st.integers(3, 8))
+    costs = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    pairs = [(a, b) for b in range(2, n + 1) for a in range(1, b)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+    requests = draw(st.lists(st.lists(st.integers(1, n), min_size=1, max_size=3),
+                             min_size=3, max_size=8))
+    ranks = draw(st.permutations(range(2, len(requests) + 2)))
+    tie = draw(st.sampled_from([1, 2]))
+    inst = make_instance(costs, edges, [(r // tie, q) for r, q in zip(ranks, requests)])
+    flags = draw(st.lists(st.booleans(), min_size=len(requests), max_size=len(requests)))
+    cover = _WalkCounter(inst, [i + 1 for i, f in enumerate(flags) if f])
+    return inst, cover.cost + draw(st.integers(0, 2)), cover
+
+
+def _check_swap_bound(inst, bud, cover):
     # a one-row order walks its row's closure exactly when the bound keeps it
-    inst, bud = case
     profits = inst.profit_vector
-    cover, chosen = _feasible_cover(inst, bud, toggles)
+    chosen = {int(c) + 1 for c in cover.selected.nonzero()[0]}
     for l in range(1, inst.n_customers + 1):
         freed = cover.cost - evaluate(inst, chosen - {l}).cost if l in chosen else 0
         assert cover.freed()[l - 1] == freed
@@ -199,22 +214,19 @@ def test_swap_bound_drops_only_unmovable_customers(case, toggles):
         assert kept == want, j
 
 
-@st.composite
-def swap_states(draw):
-    """A feasible selection on a budget it nearly fills, over customers of
-    distinct or pairwise tied profits: a state where swaps are common."""
-    n = draw(st.integers(3, 8))
-    costs = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
-    pairs = [(a, b) for b in range(2, n + 1) for a in range(1, b)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
-    requests = draw(st.lists(st.lists(st.integers(1, n), min_size=1, max_size=3),
-                             min_size=3, max_size=8))
-    ranks = draw(st.permutations(range(2, len(requests) + 2)))
-    tie = draw(st.sampled_from([1, 2]))
-    inst = make_instance(costs, edges, [(r // tie, q) for r, q in zip(ranks, requests)])
-    flags = draw(st.lists(st.booleans(), min_size=len(requests), max_size=len(requests)))
-    cover = CoverTracker(inst, [i + 1 for i, f in enumerate(flags) if f])
-    return inst, cover.cost + draw(st.integers(0, 2)), cover
+@FAST
+@given(instance_and_budget(), st.lists(st.integers(0, 6), max_size=12))
+def test_swap_bound_drops_only_unmovable_customers(case, toggles):
+    inst, bud = case
+    _check_swap_bound(inst, bud, _feasible_cover(inst, bud, toggles))
+
+
+@settings(FAST, max_examples=400)
+@given(swap_states())
+def test_swap_bound_on_swap_states(case):
+    # the states above seldom give a row a move; these nearly full budgets
+    # often put a row's excess exactly at a partner's freed cost
+    _check_swap_bound(*case)
 
 
 @settings(FAST, max_examples=400)
