@@ -85,7 +85,7 @@ def test_kahn_runs_once_per_build(monkeypatch):
     kahn = model._kahn
     monkeypatch.setattr(model, "_kahn", lambda *a: calls.append(a) or kahn(*a))
     make_instance([1, 1], [(1, 2)], [(5, [2])])
-    _refusal([0, 1], [(1, 2), (2, 1)], [(5, [2])])
+    _refusal([1, 1], [(1, 2), (2, 1)], [(5, [2])])  # the same sort finds and words the cycle
     assert len(calls) == 2
     # a bad edge end leaves the graph unread: no cycle is sought
     assert [i.kind for i in _refusal([1], [(1, 1), (1, 2)], []).issues] == ["bad-id"]

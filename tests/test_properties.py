@@ -224,8 +224,8 @@ def test_swap_bound_drops_only_unmovable_customers(case, toggles):
 @settings(FAST, max_examples=400)
 @given(swap_states())
 def test_swap_bound_on_swap_states(case):
-    # the states above seldom give a row a move; these nearly full budgets
-    # often put a row's excess exactly at a partner's freed cost
+    # instance_and_budget() seldom gives a row a move; on these nearly full
+    # budgets a row's excess often equals a partner's freed cost exactly
     _check_swap_bound(*case)
 
 
