@@ -13,18 +13,21 @@ The annealer flips one customer's membership per step through a
 :class:`~nrpbench.model.CoverTracker` started from a random feasible
 selection, rejects infeasible proposals outright, and cools with the
 Lundy-Mees update temp <- temp / (1 + lm_beta * temp) applied after
-each attempt.  The schedule's initial temperature, final temperature,
-and step granularity are documented defaults, not literature values;
-all are configurable.  The chain stops at the final temperature, or
-earlier once it is frozen: no unselected customer fits and the
-temperature is too low for any drop to pass, so every later attempt
-would be refused and the result is the same.
+every ``moves_per_temp`` attempts.  The schedule's initial temperature,
+final temperature, and step granularity are documented defaults, not
+literature values; all are configurable.  The chain stops at the final
+temperature, or earlier once it is frozen: no unselected customer fits
+and the temperature is too low for any drop to pass, so every later
+attempt would be refused and the result is the same.  Frozenness is
+looked at once per block of draws, before the block is drawn.
 
 The exact solver solves the integer program of Bagnall, Rayward-Smith &
 Whittley (IST 43(14), 2001) with HiGHS, through ``scipy.optimize.milp``,
 on one thread and with no time limit: one binary x_i per customer, one
 y_r in [0, 1] per requirement, x_i <= y_r over each customer's closure,
 and sum(c_r * y_r) <= budget.  scipy is imported on the first call only.
+HiGHS's tolerances admit answers over budget, or short of the optimum,
+once costs reach about 10**6, so costs of ``EXACT_COST_LIMIT`` and up are refused.
 """
 
 from __future__ import annotations
@@ -37,18 +40,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .local_search import improve, random_feasible
+from .local_search import _best_of_restarts, random_feasible
 from .model import CoverTracker, Instance, Solution, _construct
 
 
 # the most branch-and-bound nodes :func:`exact` lets HiGHS explore
 EXACT_NODE_LIMIT = 10_000
+# the total cost from which :func:`exact` refuses an instance
+EXACT_COST_LIMIT = 10**5
 # GRASP's threshold: the key this many candidate-list lengths deep
 _RCL_DEPTH = 2
 
 
 class TooLargeError(Exception):
-    """The exact solver stopped at its node limit without proving an optimum."""
+    """The exact solver refused: a total cost of ``EXACT_COST_LIMIT`` (10**5) or more,
+    no optimum proven within the node limit, or HiGHS's answer over the budget."""
 
 
 @dataclass
@@ -126,14 +132,8 @@ def _top_k(key: np.ndarray, k: int, thr: float) -> tuple[np.ndarray, float]:
 
 def grasp(instance: Instance, budget: int, params: GraspParams, seed: int) -> Solution:
     """Best of `restarts` construct-then-improve rounds."""
-    best: Solution | None = None
-    for i in range(1, params.restarts + 1):
-        gen = rng.substream(seed, rng.GRASP_RESTART, i)
-        sol = grasp_construct(instance, budget, params.rcl_length, gen)
-        sol = improve(instance, budget, sol, gen)
-        if best is None or sol.profit > best.profit:
-            best = sol
-    return best
+    return _best_of_restarts(instance, budget, params.restarts, seed, rng.GRASP_RESTART,
+                             lambda gen: grasp_construct(instance, budget, params.rcl_length, gen))
 
 
 def lundy_mees(temp: float, lm_beta: float) -> float:
@@ -148,16 +148,11 @@ def _calibrate_temp(instance, selected, params, seed) -> float:
     (adds either improve or are infeasible), so the probe samples flip
     targets and collects the profit losses of the selected ones.
     """
-    gen = rng.substream(seed, rng.SA_PROBE)
-    profits = instance.profit_vector
-    losses = []
-    for _ in range(100):
-        j = int(gen.integers(0, instance.n_customers))
-        if selected[j]:
-            losses.append(float(profits[j]))
-    if not losses:
+    js = rng.substream(seed, rng.SA_PROBE).integers(0, instance.n_customers, size=100)
+    losses = instance.profit_vector[js[np.asarray(selected)[js]]].astype(np.float64)
+    if not losses.size:
         return max(1.0, 10.0 * params.final_temp)
-    q90 = float(np.quantile(np.asarray(losses), 0.9))
+    q90 = float(np.quantile(losses, 0.9))
     return max(q90 / -math.log(0.9), 10.0 * params.final_temp)
 
 
@@ -166,9 +161,11 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
 
     Flip targets and acceptance draws are consumed in fixed-size blocks,
     one pair per attempt whatever the outcome, so the walk is a pure
-    function of the seed.  Where a new block would be drawn, the chain
-    stops if it is frozen (:func:`_frozen`): from there on every attempt
-    is refused, so the full schedule would return the same selection.
+    function of the seed.  Before each block is drawn the chain stops if
+    it is frozen (:func:`_frozen`): from there on every attempt is
+    refused, so the full schedule would return the same selection.
+    ``lundy_mees`` cools after every ``moves_per_temp`` attempts, counted
+    across blocks.
     """
     gen = rng.substream(seed, rng.SA_CHAIN)
     m = instance.n_customers
@@ -185,21 +182,10 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
 
     best_sel = cover.selected.copy()
     best_profit = profit
-    chunk = 8192
-    pos = chunk
-    buf_j: list[int] = []
-    buf_u: list[float] = []
+    tried = 0  # attempts at the current temperature
     # stop once frozen, as every later attempt would be refused; looked at per block of draws
-    while temp > params.final_temp and not (
-            pos == chunk and _frozen(cover, budget, instance.profit_vector, temp)):
-        for _ in range(params.moves_per_temp):
-            if pos == chunk:
-                buf_j = gen.integers(0, m, size=chunk).tolist()
-                buf_u = gen.random(chunk).tolist()
-                pos = 0
-            j = buf_j[pos]
-            u = buf_u[pos]
-            pos += 1
+    while temp > params.final_temp and not _frozen(cover, budget, instance.profit_vector, temp):
+        for j, u in zip(gen.integers(0, m, size=8192).tolist(), gen.random(8192).tolist()):
             if cover.selected[j]:
                 if u < math.exp(-profits[j] / temp):
                     cover.drop(j)
@@ -211,7 +197,11 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
                 if profit > best_profit:
                     best_profit = profit
                     best_sel = cover.selected.copy()
-        temp = lundy_mees(temp, params.lm_beta)
+            tried = (tried + 1) % params.moves_per_temp
+            if not tried:
+                temp = lundy_mees(temp, params.lm_beta)
+                if temp <= params.final_temp:
+                    break
 
     return CoverTracker(instance, best_sel.nonzero()[0] + 1).solution()
 
@@ -230,12 +220,15 @@ def _frozen(cover: CoverTracker, budget: int, profits: np.ndarray, temp: float) 
 
 def exact(instance: Instance, budget: int) -> Solution:
     """An optimal solution, proven by HiGHS; among tied optima one of them,
-    the same one on every run.  Raises :class:`TooLargeError` when HiGHS
-    stops without a proof, which with no time limit means at its node limit.
+    the same one on every run.  Raises :class:`TooLargeError` in the cases
+    it lists; the answer is re-costed in integers to catch the last.
     """
     m, n = instance.n_customers, instance.n_requirements
     if m == 0:  # milp refuses a program with no variables
         return CoverTracker(instance).solution()
+    if instance.total_cost >= EXACT_COST_LIMIT:
+        raise TooLargeError(f"total cost {instance.total_cost} reaches the limit of "
+                            f"{EXACT_COST_LIMIT}")
     from scipy.optimize import milp
     from scipy.sparse import coo_array
 
@@ -260,4 +253,7 @@ def exact(instance: Instance, budget: int) -> Solution:
         status = re.search(r"\((HiGHS Status [^)]*)\)", res.message)
         raise TooLargeError(f"no optimum proven within the node limit of {EXACT_NODE_LIMIT}, "
                             f"{status[1] if status else 'HiGHS says: ' + res.message}")
-    return CoverTracker(instance, np.flatnonzero(res.x[:m] > 0.5) + 1).solution()
+    sol = CoverTracker(instance, np.flatnonzero(res.x[:m] > 0.5) + 1).solution()
+    if sol.cost > budget:
+        raise TooLargeError(f"HiGHS's answer costs {sol.cost}, over the budget {budget}")
+    return sol

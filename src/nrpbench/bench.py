@@ -206,6 +206,8 @@ class BenchConfig:
                 raise ConfigError(f"ratio {r} outside (0, 1]")
         seen = set()
         for src in self.sources:
+            if isinstance(src, GenSource) and src.seed < 0:
+                raise ConfigError(f"{src.spec.name} has a negative generation seed, {src.seed}")
             if src.name in seen:
                 raise ConfigError(f"two instance sources are named {src.name!r}; "
                                   "their rows and dump files would mix")
@@ -255,8 +257,6 @@ def parse_bench_config(path) -> BenchConfig:
             seed = int(s)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        if seed < 0:
-            raise ConfigError(f"generate entry {token!r} has a negative seed")
         sources.append(GenSource(spec, seed))
     # relative to the config's directory; joining keeps an absolute path as it is
     sources += [FileSource(str(base / token)) for token in b.get("files", "").split()]

@@ -6,7 +6,7 @@ algorithm on one instance), ``bench`` (run a config-driven matrix), and
 
 Exit codes: 0 success, 1 usage/config error (a bad parameter value
 included), 2 data error (unparsable or invalid input, failed
-verification), 3 guard refusal (exact solver stopped at its node limit).
+verification), 3 guard refusal (the exact solver's cost or node limit).
 """
 
 from __future__ import annotations

@@ -59,6 +59,10 @@ class GenSpec:
             raise ValueError(f"bad request range {self.request_min}..{self.request_max}")
         if not (1 <= self.profit_min <= self.profit_max):
             raise ValueError(f"bad profit range {self.profit_min}..{self.profit_max}")
+        for what, most in (("cost", sum(lv.count * lv.cost_max for lv in self.levels)),
+                           ("profit", self.customer_count * self.profit_max)):
+            if most >= 2**53:  # totals the instance check refuses
+                raise ValueError(f"largest possible total {what} {most} is 2**53 or more")
 
     @property
     def total_requirements(self) -> int:

@@ -32,8 +32,8 @@ customers it tries, in order, and stops at the first with a move.  So a
 pass costs a few numpy calls over the customers plus, most often, one
 closure walk, and nothing over every requirement.
 
-The standalone restart solver climbs with `improve` from independent
-random feasible selections and keeps the best result.
+The restart solver and GRASP share one loop that keeps the best of
+independent `improve` climbs, from random feasible selections or constructions.
 """
 
 from __future__ import annotations
@@ -160,15 +160,16 @@ def _first_move(instance: Instance, cover: CoverTracker, budget: int,
 
 
 def fhc(instance: Instance, budget: int, params: FhcParams, seed: int) -> Solution:
-    """Best of `restarts` independent random-start first-found climbs.
+    """Best of `restarts` independent random-start first-found climbs."""
+    return _best_of_restarts(instance, budget, params.restarts, seed, rng.FHC_RESTART,
+                             lambda gen: random_feasible(instance, budget, gen))
 
-    Restart i draws from the stream (seed, FHC_RESTART, i); ties keep
-    the earliest restart's result.
-    """
-    best: Solution | None = None
-    for i in range(1, params.restarts + 1):
-        gen = rng.substream(seed, rng.FHC_RESTART, i)
-        sol = improve(instance, budget, random_feasible(instance, budget, gen), gen)
-        if best is None or sol.profit > best.profit:
-            best = sol
-    return best
+
+def _best_of_restarts(instance: Instance, budget: int, restarts: int, seed: int, tag: int,
+                      start) -> Solution:
+    """The most profitable of ``restarts`` climbs with :func:`improve` from
+    ``start(gen)``, the earliest among ties; restart i draws from the stream
+    (seed, tag, i).  GRASP and the restart solver differ only in ``start``."""
+    gens = (rng.substream(seed, tag, i) for i in range(1, restarts + 1))
+    return max((improve(instance, budget, start(gen), gen) for gen in gens),
+               key=lambda sol: sol.profit)

@@ -307,13 +307,13 @@ def closure(instance: Instance, customer_id: int) -> frozenset[int]:
 
 def evaluate(instance: Instance, selected: Iterable[int]) -> Solution:
     """Evaluate a customer selection: union coverage, union cost, summed profit."""
-    idx = sorted({_customer_index(instance, c) for c in selected})
-    covered_mask = np.zeros(instance.n_requirements, dtype=bool)
-    covered_mask[_csr_rows(instance._csr_ptr, instance._csr_req, idx)[1]] = True
-    cost = int(instance.cost_vector[covered_mask].sum())
-    profit = int(instance.profit_vector[idx].sum())
-    covered = frozenset(int(r) + 1 for r in np.flatnonzero(covered_mask))
-    return Solution(frozenset(i + 1 for i in idx), covered, cost, profit)
+    chosen = np.zeros(instance.n_customers, dtype=bool)
+    chosen[[_customer_index(instance, c) for c in selected]] = True
+    covered = np.zeros(instance.n_requirements, dtype=bool)
+    covered[instance._csr_req[chosen[instance._csr_row]]] = True
+    idx, req = chosen.nonzero()[0], covered.nonzero()[0]
+    return Solution(frozenset((idx + 1).tolist()), frozenset((req + 1).tolist()),
+                    int(instance.cost_vector[req].sum()), int(instance.profit_vector[idx].sum()))
 
 
 def budget(instance: Instance, ratio) -> int:
@@ -472,19 +472,6 @@ class CoverTracker:
         return Solution(frozenset((idx + 1).tolist()),
                         frozenset((self.counts.nonzero()[0] + 1).tolist()),
                         self.cost, int(self._inst.profit_vector[idx].sum()))
-
-
-def _csr_rows(ptr: np.ndarray, values: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of CSR rows ``rows`` as (position in ``rows``, value)
-    pairs, row by row; with the closure's ``_csr_ptr`` and ``_csr_req``,
-    the closure entries of customers ``rows`` (0-based ids)."""
-    rows = np.asarray(rows, dtype=np.intp)
-    starts = ptr[rows]
-    sizes = ptr[rows + 1] - starts
-    pos = np.repeat(np.arange(rows.size), sizes)
-    # entry k of the result is entry k - first[pos] of its row
-    first = np.cumsum(sizes) - sizes
-    return pos, values[np.arange(pos.size) + (starts - first)[pos]]
 
 
 def _construct(instance: Instance, budget: int, choose) -> Solution:

@@ -8,15 +8,19 @@ import pytest
 
 import bruteforce as bf
 from conftest import subprocess_env
-from nrpbench import (CoverTracker, GraspParams, SaParams, budget,
+from nrpbench import (CoverTracker, GraspParams, SaParams, TooLargeError, budget,
                       builtin_spec, evaluate, exact, generate, make_instance, rng)
-from nrpbench.baselines import (_calibrate_temp, _frozen, grasp, grasp_construct, lundy_mees,
-                                sa)
+from nrpbench import baselines
+from nrpbench.baselines import (EXACT_COST_LIMIT, _calibrate_temp, _frozen, grasp,
+                                grasp_construct, lundy_mees, sa)
 from nrpbench.local_search import random_feasible
 
 FAST_SA = SaParams(lm_beta=0.05)
 # stays warm enough to accept drops for all of its ~5000 attempts
 WARM_SA = SaParams(lm_beta=2e-4, final_temp=1.0)
+# cools every third attempt, so a cooling step spans draw blocks
+STEPPED_SA = SaParams(lm_beta=0.5, moves_per_temp=3)
+FIXED_SA = SaParams(lm_beta=0.5, initial_temp=20.0)
 
 
 # -- GRASP -------------------------------------------------------------------
@@ -248,9 +252,10 @@ def test_sa_matches_reference_chain(monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("nrpbench.baselines"), "lundy_mees", counted)
     nrp1 = generate(builtin_spec("NRP-1"), 1)
+    every = (FAST_SA, WARM_SA, STEPPED_SA, FIXED_SA)
     cases = [(bf.random_small_instance(seed), params, seed)
-             for seed in range(1, 9) for params in (FAST_SA, WARM_SA)]
-    cases += [(nrp1, FAST_SA, 1), (nrp1, WARM_SA, 1)]
+             for seed in range(1, 9) for params in every]
+    cases += [(nrp1, params, 1) for params in every]
     drops = 0
     for inst, params, seed in cases:
         bud = budget(inst, "0.5")
@@ -264,6 +269,22 @@ def test_sa_matches_reference_chain(monkeypatch):
             assert len(steps) < full
     # the chains walk: drops are accepted, not only adds
     assert drops > 0
+
+
+def test_calibrate_temp_matches_scalar_probes():
+    # the reference draws the 100 probe targets one call at a time
+    nrp1 = generate(builtin_spec("NRP-1"), 1)
+    for inst, seed in [(bf.random_small_instance(s), s) for s in range(1, 21)] + [(nrp1, 1)]:
+        m = inst.n_customers
+        for ratio in ("0.01", "0.5"):
+            start = random_feasible(inst, budget(inst, ratio), rng.substream(seed, 62))
+            selected = [c + 1 in start.selected for c in range(m)]
+            gen = rng.substream(seed, rng.SA_PROBE)
+            losses = [float(inst.profit_vector[j])
+                      for j in (int(gen.integers(0, m)) for _ in range(100)) if selected[j]]
+            want = (max(float(np.quantile(losses, 0.9)) / -math.log(0.9), 10 * FAST_SA.final_temp)
+                    if losses else 1.0)
+            assert _calibrate_temp(inst, selected, FAST_SA, seed) == want
 
 
 def test_sa_frozen_only_when_no_flip_can_pass(toy):
@@ -299,6 +320,25 @@ def test_sa_params_validation():
 
 
 # -- exact oracle ------------------------------------------------------------
+
+
+def _cost_probe(c):
+    """At budget c the optimum is {1}: customer 1 (profit 5) needs requirement 1
+    (cost c) and customer 2 (profit 1) requirement 2 (cost 1); total cost c + 1."""
+    return make_instance([c, 1], [], [(5, [1]), (1, [2])])
+
+
+def test_exact_refuses_costs_from_its_limit(monkeypatch):
+    c = EXACT_COST_LIMIT - 2  # total cost just under the limit
+    assert exact(_cost_probe(c), c).selected == {1}
+    # from the limit on, and where HiGHS answers {1, 2} (over budget) or {} (profit 0)
+    for c in (EXACT_COST_LIMIT - 1, 1_500_000, 999_999_998):
+        with pytest.raises(TooLargeError, match=f"reaches the limit of {EXACT_COST_LIMIT}$"):
+            exact(_cost_probe(c), c)
+    # with the limit lifted, the over-budget answer is caught by its integer cost
+    monkeypatch.setattr(baselines, "EXACT_COST_LIMIT", 2**53)
+    with pytest.raises(TooLargeError, match="costs 1500001, over the budget 1500000"):
+        exact(_cost_probe(1_500_000), 1_500_000)
 
 
 def test_exact_toy(toy):
@@ -344,6 +384,8 @@ def test_exact_proves_nrp1():
 
 def test_exact_on_degenerate_instances():
     assert exact(make_instance([], [], []), 5).selected == frozenset()
+    # with no customer HiGHS never runs, so the cost limit does not apply
+    assert exact(make_instance([EXACT_COST_LIMIT], [], []), 5).selected == frozenset()
     # a customer that requests nothing is free profit, at any budget
     free = make_instance([4, 3], [], [(5, []), (9, [1, 2])])
     assert exact(free, 0).selected == {1}

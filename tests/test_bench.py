@@ -166,6 +166,8 @@ def test_parse_config_errors(tmp_path):
         "negjobs.ini": "[bench]\ngenerate = NRP-1@1\njobs = -3\n",
         # seeds the random streams refuse, which once failed every cell instead
         "negseed.ini": "[bench]\ngenerate = NRP-1@1\nseeds = 1 -1\n",
+        "fracseed.ini": "[bench]\ngenerate = NRP-1@1\nseeds = 1 2.5\n",
+        "wordjobs.ini": "[bench]\ngenerate = NRP-1@1\njobs = two\n",
         "neggenseed.ini": "[bench]\ngenerate = NRP-1@-2\n",
         # a ratio that would put a "/" in the dump file names
         "fracratio.ini": "[bench]\ngenerate = NRP-1@1\nratios = 1/2\n",
@@ -176,11 +178,14 @@ def test_parse_config_errors(tmp_path):
         # a misspelt key, which once ran the default seeds
         "typokey.ini": "[bench]\ngenerate = NRP-1@1\nseed = 3\n",
     }
+    # the cases whose message is pinned
+    words = {"fracseed.ini": "seeds must be integers", "wordjobs.ini": "jobs must be an integer",
+             "neggenseed.ini": "negative generation seed"}
     for name, text in cases.items():
         path = tmp_path / name
         if text is not None:
             path.write_text(text)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=words.get(name)):
             parse_bench_config(path)
 
 
@@ -229,6 +234,17 @@ def test_run_bench_matrix(toy, toy_file, tmp_path):
         assert verify_dump(toy, dump) == []
         check = evaluate(toy, dump["selected"])
         assert (check.profit, check.cost) == (r.profit, r.cost)
+
+
+def test_run_bench_dumps_only_the_cells_that_ran(toy, toy_file, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1\n")  # truncated: its cell is an error row
+    sources = [FileSource(str(toy_file)), FileSource(str(bad))]
+    config = _toy_config(toy_file, tmp_path, sources=sources, ratios=["0.5"], seeds=[1],
+                         algorithms=["fhc"], out=None)
+    records = run_bench(config)
+    assert [(r.instance_name, r.error is None) for r in records] == [("bad", False), ("toy", True)]
+    assert [p.name for p in (tmp_path / "dumps").iterdir()] == ["toy_0.5_fhc_1.json"]
 
 
 def _strip_time(csv_path):
@@ -307,6 +323,8 @@ def test_run_bench_refuses_fewer_than_one_job(toy_file, tmp_path, jobs):
     ({"algorithms": []}, "at least one ratio"),
     ({"algorithms": ["fhc", "tabu"]}, "unknown algorithm 'tabu'"),
     ({"seeds": [1, -1]}, "seeds must be non-negative, got -1"),
+    # a generation seed the random streams refuse, which once failed every cell instead
+    ({"sources": [GenSource(builtin_spec("NRP-1"), -1)]}, "negative generation seed, -1"),
     ({"ratios": ["1/2"]}, "must be a decimal number"),
     ({"ratios": ["half"]}, "cannot parse ratio 'half'"),
     ({"ratios": ["0"]}, "outside"),

@@ -119,6 +119,19 @@ def test_gen_custom_spec(tmp_path):
         assert not (tmp_path / "x.txt").exists()
 
 
+@pytest.mark.parametrize("count, cost_max", [(2, 99999999999999999999), (2**20, 2**33)])
+def test_gen_refuses_specs_whose_total_cost_may_reach_2_pow_53(tmp_path, count, cost_max):
+    # a cost_max past int64, and in-range values whose largest total is 2**53
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"levels": [
+        {"count": count, "cost_min": 1, "cost_max": cost_max, "max_children": 0}],
+        "customer_count": 4, "request_min": 1, "request_max": 1}))
+    rc, _, err = run_cli("gen", "--spec", spec, "--out", tmp_path / "x.txt")
+    assert rc == 2 and err == (f"error: bad spec file: largest possible total cost "
+                               f"{count * cost_max} is 2**53 or more\n")
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_gen_usage_errors(tmp_path):
     rc, _, err = run_cli("gen", "NRP-99", "--out", tmp_path / "x.txt")
     assert rc == 1 and "NRP-1" in err  # valid names are listed
@@ -139,6 +152,17 @@ def test_solve_exact_toy(toy_file):
     assert "budget: 9" in out  # floor(0.714 * 14)
     assert "selected: 2 3" in out
     assert "time:" in err and "time:" not in out
+
+
+@pytest.mark.parametrize("c", [1_500_000, 999_999_998])
+def test_solve_exact_refuses_costs_past_its_limit(tmp_path, c):
+    # HiGHS answers {1, 2}, over budget, and {}, short of the optimum {1}; the
+    # refusal comes before HiGHS runs, so it prints nothing on stdout either
+    path = tmp_path / "probe.txt"
+    write_instance_file(make_instance([c, 1], [], [(5, [1]), (1, [2])]), path)
+    rc, out, err = run_cli("solve", path, "--algo", "exact", "--budget-ratio", f"{c}/{c + 1}")
+    assert (rc, out) == (3, "")
+    assert err == f"refused: total cost {c + 1} reaches the limit of 100000\n"
 
 
 def test_solve_exact_stdout_is_the_documented_lines(tmp_path):

@@ -135,6 +135,22 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="customer_count"):
         GenSpec("x", (last,), -5, 1, 2)
     assert GenSpec("x", (last,), 0, 1, 2).customer_count == 0
+    with pytest.raises(ValueError, match="at least one level"):
+        GenSpec("x", (), 5, 1, 1)
+    with pytest.raises(ValueError, match="level count must be positive"):
+        GenSpec("x", (LevelSpec(0, 1, 3, 0),), 5, 1, 1)
+
+
+def test_spec_refuses_totals_the_instance_check_refuses():
+    # the largest possible totals, count * cost_max summed and customers * profit_max,
+    # must stay below 2**53, as an instance's totals must
+    edge = 2**53
+    assert GenSpec("x", (LevelSpec(1, 1, edge - 1, 0),), 1, 1, 1).levels[0].cost_max == edge - 1
+    with pytest.raises(ValueError, match="total cost 9007199254740992 is 2"):
+        GenSpec("x", (LevelSpec(1, 1, 4, 2), LevelSpec(2, 1, edge // 2 - 2, 0)), 1, 1, 1)
+    assert GenSpec("x", (LevelSpec(1, 1, 3, 0),), 3, 1, 1, profit_max=edge // 3).customer_count == 3
+    with pytest.raises(ValueError, match="total profit 9007199254740992 is 2"):
+        GenSpec("x", (LevelSpec(1, 1, 3, 0),), 2, 1, 1, profit_max=edge // 2)
 
 
 def test_different_seeds_differ_overwhelmingly():

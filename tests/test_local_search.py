@@ -3,12 +3,12 @@ import pytest
 
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, FhcParams, Solution, budget, builtin_spec,
-                      evaluate, generate, rng, solve_one)
+                      evaluate, generate, make_instance, rng, solve_one)
 from nrpbench import local_search
 from nrpbench.aco import construct_solution, heuristic_info, init_pheromone
+from nrpbench.baselines import grasp_construct
 from nrpbench.local_search import (InfeasibleStartError, fhc, improve, random_feasible,
                                    sweep_improve)
-from nrpbench.model import _csr_rows
 
 
 def test_random_feasible_boundaries(toy):
@@ -179,16 +179,22 @@ def test_climbs_match_brute_force_reference(name, ratio, monkeypatch):
     assert all(swapped) if name == "sweep_improve" else any(swapped)
 
 
+def _closure_entries(inst, rows):
+    """(position in ``rows``, 0-based requirement) of every closure entry of customers ``rows``."""
+    pairs = [(k, r) for k, i in enumerate(rows) for r in inst.closure_indices[i].tolist()]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
 def _gathered_swap_costs(inst, cover, incoming, outgoing):
     """Swap pricing with owners gathered from the closure entries of ``outgoing``."""
     n_out = len(outgoing)
-    col, req = _csr_rows(inst._csr_ptr, inst._csr_req, outgoing)
+    col, req = _closure_entries(inst, outgoing)
     owner = np.full(inst.n_requirements, n_out, dtype=np.intp)
     owner[req] = col
     owner[cover.counts != 1] = n_out
     cost_f = inst.cost_vector.astype(np.float64)
     freed = np.bincount(owner, weights=cost_f, minlength=n_out + 1)[:n_out]
-    row, req = _csr_rows(inst._csr_ptr, inst._csr_req, incoming)
+    row, req = _closure_entries(inst, incoming)
     n_in = len(incoming)
     kept = np.bincount(row * (n_out + 1) + owner[req], weights=cost_f[req],
                        minlength=n_in * (n_out + 1)).reshape(n_in, n_out + 1)
@@ -317,6 +323,21 @@ def test_fhc_more_restarts_never_worse():
         many = fhc(inst, b, FhcParams(restarts=30), seed=seed)
         assert many.profit >= one.profit
         assert bf.check_solution(inst, many, b) == []
+
+
+@pytest.mark.parametrize("solver", ["fhc", "grasp"])
+def test_restarts_keep_the_earliest_of_tied_results(solver):
+    # any one customer fills the budget, all at one profit, and no climb moves
+    inst = make_instance([1, 1, 1], [], [(5, [1]), (5, [2]), (5, [3])])
+    firsts = set()
+    for seed in range(1, 11):
+        if solver == "fhc":
+            first = random_feasible(inst, 1, rng.substream(seed, rng.FHC_RESTART, 1))
+        else:
+            first = grasp_construct(inst, 1, 10, rng.substream(seed, rng.GRASP_RESTART, 1))
+        assert solve_one(inst, 1, solver, seed)[0] == first
+        firsts.add(first.selected)
+    assert len(firsts) == 3
 
 
 def test_fhc_params_validation():

@@ -425,3 +425,12 @@ def test_equality_tells_every_part_apart():
     assert base != make_instance(costs, edges, [(10, [1, 2]), (8, [3])])
     assert base != make_instance(costs, edges, [(10, [2, 1]), (9, [3])])
     assert base != make_instance(costs, edges, customers, level_sizes=[2, 2])
+    # against anything else Python falls back to identity, so it is unequal
+    assert base.__eq__(costs) is NotImplemented
+    assert base != costs and base != None  # noqa: E711
+
+
+def test_substream_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        rng.substream(-1, rng.SA_CHAIN)
+    assert rng.substream(0, rng.SA_CHAIN).random() == rng.substream(0, rng.SA_CHAIN).random()
