@@ -323,8 +323,6 @@ def test_run_bench_refuses_fewer_than_one_job(toy_file, tmp_path, jobs):
     ({"algorithms": []}, "at least one ratio"),
     ({"algorithms": ["fhc", "tabu"]}, "unknown algorithm 'tabu'"),
     ({"seeds": [1, -1]}, "seeds must be non-negative, got -1"),
-    # a generation seed the random streams refuse, which once failed every cell instead
-    ({"sources": [GenSource(builtin_spec("NRP-1"), -1)]}, "negative generation seed, -1"),
     ({"ratios": ["1/2"]}, "must be a decimal number"),
     ({"ratios": ["half"]}, "cannot parse ratio 'half'"),
     ({"ratios": ["0"]}, "outside"),
@@ -333,6 +331,8 @@ def test_run_bench_refuses_fewer_than_one_job(toy_file, tmp_path, jobs):
     ({"ratios": ["0.5", "0.50"]}, "ratio '0.50' is listed twice"),
     ({"seeds": [1, 1]}, "seed 1 is listed twice"),
     ({"algorithms": ["fhc", "fhc"]}, "algorithm 'fhc' is listed twice"),
+    # a generation seed the random streams refuse, which once failed every cell instead
+    ({"sources": [GenSource(builtin_spec("NRP-1"), -1)]}, "negative generation seed, -1"),
 ])
 def test_bench_config_checks_itself(toy_file, tmp_path, change, words):
     with pytest.raises(ConfigError, match=words):
