@@ -1,14 +1,16 @@
 """Ant colony solvers with a per-customer pheromone trail.
 
 Each customer carries a pheromone value, initialized proportional to
-profit and scaled into (0, 1].  Ants build solutions one customer at a
-time with the random proportional rule: candidate i is picked with
-probability tau_i^alpha * eta_i^beta, normalized over the still
-affordable, unchosen customers, where eta_i is the static
-profit-to-closure-cost ratio.  After all ants of an iteration finish
-(optionally each polished to a 1-swap local optimum by the sweeping
-climb), the trail evaporates once by factor (1 - rho) and every ant
-deposits gamma * profit(solution) on the customers it selected.
+profit and scaled into (0, 1]; the trail is one float64 array that the
+update steps change in place, and :func:`run` returns the final one as
+``RunResult.tau``.  Ants build solutions one customer at a time with the
+random proportional rule: candidate i is picked with probability
+tau_i^alpha * eta_i^beta, normalized over the still affordable, unchosen
+customers, where eta_i is the static profit-to-closure-cost ratio.
+After all ants of an iteration finish (optionally each polished to a
+1-swap local optimum by the sweeping climb), the trail evaporates once
+by factor (1 - rho) and every ant deposits gamma * profit(solution) on
+the customers it selected.
 
 With local search enabled the solver is the hybrid variant (HACO);
 without it, plain ACO.
@@ -49,22 +51,16 @@ class AcoParams:
 
 
 @dataclass
-class PheromoneState:
-    tau: np.ndarray  # one value per customer, 1-based id i at tau[i-1]
-    theta: float
-
-
-@dataclass
 class RunResult:
     best: Solution
     trace: list[tuple[int, int]]  # (iteration, best profit so far)
-    pheromone: PheromoneState
+    tau: np.ndarray  # the final trail, 1-based id i at tau[i-1]
 
 
-def init_pheromone(instance: Instance) -> PheromoneState:
-    """Start every trail at theta * profit with theta = 1 / max profit (1 without customers)."""
-    theta = 1.0 / float(instance.profit_vector.max(initial=1))
-    return PheromoneState(tau=theta * instance.profit_vector.astype(np.float64), theta=theta)
+def init_pheromone(instance: Instance) -> np.ndarray:
+    """The starting trail: each profit times 1 / max profit (empty without customers)."""
+    top = float(instance.profit_vector.max(initial=1))
+    return 1.0 / top * instance.profit_vector.astype(np.float64)
 
 
 def heuristic_info(instance: Instance) -> np.ndarray:
@@ -118,7 +114,7 @@ def _roulette_select(probabilities: np.ndarray, r: float) -> int:
 def construct_solution(
     instance: Instance,
     budget: int,
-    state: PheromoneState,
+    tau: np.ndarray,
     eta: np.ndarray,
     params: AcoParams,
     gen: np.random.Generator,
@@ -130,7 +126,7 @@ def construct_solution(
     candidate remains.  tau is constant during a single construction,
     so the rule's weights are computed once up front.
     """
-    weights = state.tau ** params.alpha * eta ** params.beta
+    weights = tau ** params.alpha * eta ** params.beta
 
     def choose(cover, cand):
         return _roulette_select(_selection_probabilities(weights, cand), gen.random()) - 1
@@ -138,22 +134,17 @@ def construct_solution(
     return _construct(instance, budget, choose)
 
 
-def evaporate(state: PheromoneState, rho: float) -> PheromoneState:
+def evaporate(tau: np.ndarray, rho: float) -> None:
     """Decay every trail by (1 - rho), in place."""
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
-    state.tau *= 1.0 - rho
-    return state
+    tau *= 1.0 - rho
 
 
-def deposit(state: PheromoneState, solutions, gamma: float) -> PheromoneState:
-    """Each ant adds gamma * its solution profit onto its selected customers."""
+def deposit(tau: np.ndarray, solutions, gamma: float) -> None:
+    """Each ant adds gamma * its solution profit onto its selected customers, in place."""
     for sol in solutions:
-        if not sol.selected:
-            continue
-        idx = [c - 1 for c in sol.selected]
-        state.tau[idx] += gamma * sol.profit
-    return state
+        tau[[c - 1 for c in sol.selected]] += gamma * sol.profit
 
 
 def run(
@@ -167,7 +158,7 @@ def run(
     Ant k of iteration i draws from the stream (seed, ANT, i, k), so the
     result is the same no matter how the ants are scheduled.
     """
-    state = init_pheromone(instance)
+    tau = init_pheromone(instance)
     eta = heuristic_info(instance)
     best = evaluate(instance, ())
     trace: list[tuple[int, int]] = []
@@ -175,14 +166,14 @@ def run(
         sols = []
         for k in range(1, params.ants + 1):
             gen = rng.substream(seed, rng.ANT, it, k)
-            sol = construct_solution(instance, budget, state, eta, params, gen)
+            sol = construct_solution(instance, budget, tau, eta, params, gen)
             if params.use_local_search:
                 sol = sweep_improve(instance, budget, sol, gen)
             sols.append(sol)
-        evaporate(state, params.rho)
-        deposit(state, sols, params.gamma)
+        evaporate(tau, params.rho)
+        deposit(tau, sols, params.gamma)
         for sol in sols:
             if sol.profit > best.profit:
                 best = sol
         trace.append((it, best.profit))
-    return RunResult(best=best, trace=trace, pheromone=state)
+    return RunResult(best=best, trace=trace, tau=tau)

@@ -10,6 +10,8 @@ run across processes; cells are sorted before they run and results come
 back in that order, so the output never depends on scheduling.  Wall time
 is measured around the solver call only, and a solution that does not
 re-evaluate as reported, or costs more than the budget, is an error row.
+So is an ``exact`` solution that another verified cell of its
+instance-ratio outdoes.
 
 Output: a fixed-schema CSV (instance, ratio, algorithm, seed, profit,
 cost, budget, time_s, extra) plus a markdown table with one row per
@@ -193,10 +195,18 @@ class BenchConfig:
             raise ConfigError("config needs at least one ratio, seed, and algorithm")
         for a in self.algorithms:
             _solver(a)  # raises for an unknown name
+        for a, p in self.params.items():
+            cls = _solver(a)[0]
+            # None runs the defaults; exact takes no params object at all
+            if p is not None and (cls is None or not isinstance(p, cls)):
+                want = f"{cls.__name__} or None" if cls else "None"
+                raise ConfigError(f"params for {a} must be {want}, got {type(p).__name__}")
         if any(s < 0 for s in self.seeds):
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         for r in self.ratios:
-            if "/" in str(r):
+            if not isinstance(r, str):  # the ratio's text names its rows and dump files
+                raise ConfigError(f"ratio {r!r} must be given as text, such as '0.5'")
+            if "/" in r:
                 raise ConfigError(f"ratio {r!r} must be a decimal number, such as 0.5")
             try:
                 frac = Fraction(r)
@@ -345,6 +355,7 @@ def run_bench(config: BenchConfig) -> list[RunRecord]:
     else:
         outcomes = [_run_cell(c) for c in cells]
 
+    outcomes = _cross_check(outcomes)
     records = [rec for rec, _ in outcomes]
     if config.dump_dir:
         dump_dir = Path(config.dump_dir)
@@ -361,6 +372,32 @@ def run_bench(config: BenchConfig) -> list[RunRecord]:
         write_csv(records, out.with_suffix(".csv"))
         write_markdown(records, out.with_suffix(".md"), config.algorithms)
     return records
+
+
+def _cross_check(outcomes: list[tuple[RunRecord, dict | None]]) -> list:
+    """``outcomes`` with each exact cell that another verified cell of its
+    instance-ratio outdoes made an error row, as a failed cell is, without
+    its dump: that cell fits the budget, so the exact answer is no optimum.
+
+    The rival named is the most profitable one, the first in sorted order
+    among ties, so the result depends on the records alone.
+    """
+    rivals: dict[tuple[str, str], RunRecord] = {}
+    for rec, _ in outcomes:
+        key = (rec.instance_name, rec.budget_ratio)
+        if rec.error is None and rec.algorithm != "exact" and (
+                key not in rivals or rec.profit > rivals[key].profit):
+            rivals[key] = rec
+    checked = []
+    for rec, dump in outcomes:
+        rival = rivals.get((rec.instance_name, rec.budget_ratio))
+        if rec.algorithm == "exact" and rec.error is None and rival and rival.profit > rec.profit:
+            error = (f"AssertionError: profit {rec.profit} is not optimal: "
+                     f"{rival.algorithm} seed {rival.seed} verified {rival.profit}")
+            rec, dump = replace(rec, profit=None, cost=None, budget=None, wall_time=0.0,
+                                iterations_or_restarts=None, error=error), None
+        checked.append((rec, dump))
+    return checked
 
 
 def _csv_row(rec: RunRecord) -> str:

@@ -301,14 +301,14 @@ def _kahn(n: int, edges) -> tuple[list[int], list[list[int]]]:
 def closure(instance: Instance, customer_id: int) -> frozenset[int]:
     """Requirements that must be developed to satisfy one customer, built
     on each call from its ``closure_indices`` row."""
-    idx = instance.closure_indices[_customer_index(instance, customer_id)]
+    idx = instance.closure_indices[_customer_indices(instance, [customer_id])[0]]
     return frozenset((idx + 1).tolist())
 
 
 def evaluate(instance: Instance, selected: Iterable[int]) -> Solution:
     """Evaluate a customer selection: union coverage, union cost, summed profit."""
     chosen = np.zeros(instance.n_customers, dtype=bool)
-    chosen[[_customer_index(instance, c) for c in selected]] = True
+    chosen[_customer_indices(instance, selected)] = True
     covered = np.zeros(instance.n_requirements, dtype=bool)
     covered[instance._csr_req[chosen[instance._csr_row]]] = True
     idx, req = chosen.nonzero()[0], covered.nonzero()[0]
@@ -328,10 +328,26 @@ def budget(instance: Instance, ratio) -> int:
     return int(frac * instance.total_cost)
 
 
-def _customer_index(instance: Instance, customer_id: int) -> int:
-    if not 1 <= customer_id <= instance.n_customers:
-        raise ValueError(f"customer id {customer_id} out of range 1..{instance.n_customers}")
-    return customer_id - 1
+def _customer_indices(instance: Instance, ids: Iterable[int]) -> np.ndarray:
+    """The 0-based indices of the 1-based customer ``ids``, in their order.
+
+    The one id rule of :func:`closure`, :func:`evaluate` and
+    :class:`CoverTracker`: an id that is not an integer (a float such as
+    1.7 or 1.0, a bool, a string) or is outside 1..m raises ValueError.
+    """
+    given = ids if isinstance(ids, np.ndarray) else list(ids)
+    got = np.asarray(given)
+    # numpy reads [2, True] as integers: such a bool shows only by its type
+    if got.size and (got.dtype.kind not in "iu" or given is not got
+                     and not {bool, np.bool_}.isdisjoint(map(type, given))):
+        bad = [c for c in (got.tolist() if given is got else given)
+               if isinstance(c, bool) or not isinstance(c, (int, np.integer))]
+        if bad:  # else every id is an int, some too large for int64: out of range
+            raise ValueError(f"customer id {bad[0]!r} is not an integer")
+    out = (got < 1) | (got > instance.n_customers)
+    if out.any():
+        raise ValueError(f"customer id {got[out.argmax()]} out of range 1..{instance.n_customers}")
+    return (got - 1).astype(np.intp, copy=False)
 
 
 class CoverTracker:
@@ -365,19 +381,15 @@ class CoverTracker:
     def __init__(self, instance: Instance, start: Iterable[int] = ()):
         """Cover of ``start`` (1-based customer ids), empty by default.
 
-        An id outside 1..n raises ``ValueError``.
+        An id that is not an integer in 1..m raises ``ValueError``.
         """
         self._inst = instance
         self._idx = instance.closure_indices
         self._needed_by = instance._needed_by
         self._cost = instance._cost
         self._cost_f = instance._cost_f64
-        ids = np.fromiter(start, dtype=np.intp)
-        bad = (ids < 1) | (ids > instance.n_customers)
-        if bad.any():
-            _customer_index(instance, int(ids[bad.argmax()]))  # raises
         self.selected = np.zeros(instance.n_customers, dtype=bool)
-        self.selected[ids - 1] = True
+        self.selected[_customer_indices(instance, start)] = True
         row, req = instance._csr_row, instance._csr_req
         self.counts = np.bincount(req[self.selected[row]], minlength=instance.n_requirements)
         self.cost = int(instance.cost_vector[self.counts > 0].sum())

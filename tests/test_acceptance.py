@@ -19,7 +19,7 @@ import bruteforce as bf
 from conftest import subprocess_env
 from nrpbench import (AcoParams, FhcParams, GraspParams, InvalidInstanceError, SaParams, budget,
                       builtin_spec, generate, rng, run, solve_one)
-from nrpbench.aco import _selection_probabilities
+from nrpbench.aco import _selection_probabilities, init_pheromone
 from nrpbench.local_search import fhc
 
 RATIOS = ("0.3", "0.5", "0.7")
@@ -115,9 +115,9 @@ def test_criterion_5_pheromone_stays_bounded(criterion):
         w = np.array([c.profit for c in inst.customers], dtype=float)
         for use_ls in (True, False):
             res = run(inst, bud, AcoParams(use_local_search=use_ls), seed)
-            cap = res.pheromone.theta * w + p.ants * p.gamma * w.sum() / p.rho
-            ok = ok and bool((res.pheromone.tau > 0).all())
-            ok = ok and bool((res.pheromone.tau <= cap).all())
+            cap = init_pheromone(inst) + p.ants * p.gamma * w.sum() / p.rho
+            ok = ok and bool((res.tau > 0).all())
+            ok = ok and bool((res.tau <= cap).all())
             runs += 1
     criterion(5, ok, f"after {runs} full runs every trail is in "
                      f"(0, theta*w + h*gamma*W_total/rho] : {ok}")

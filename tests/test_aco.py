@@ -4,30 +4,28 @@ import pytest
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, budget, builtin_spec, generate, make_instance,
                       rng, solve_one)
-from nrpbench.aco import (PheromoneState, _roulette_select, _selection_probabilities,
-                          construct_solution, deposit, evaporate, heuristic_info,
-                          init_pheromone, run)
+from nrpbench.aco import (_roulette_select, _selection_probabilities, construct_solution,
+                          deposit, evaporate, heuristic_info, init_pheromone, run)
 
 
 def test_init_pheromone(toy):
-    state = init_pheromone(toy)
-    assert state.theta == pytest.approx(0.1)
-    assert np.allclose(state.tau, [1.0, 0.8, 0.6])
+    tau = init_pheromone(toy)
+    assert tau.dtype == np.float64 and np.allclose(tau, [1.0, 0.8, 0.6])
 
 
 def test_init_pheromone_equal_profits():
     inst = make_instance([1, 1], [], [(7, [1]), (7, [2]), (7, [1])])
-    assert np.allclose(init_pheromone(inst).tau, [1.0, 1.0, 1.0])
+    assert np.allclose(init_pheromone(inst), [1.0, 1.0, 1.0])
 
 
 def test_init_pheromone_single_customer():
     inst = make_instance([2], [], [(30, [1])])
-    assert np.allclose(init_pheromone(inst).tau, [1.0])
+    assert np.allclose(init_pheromone(inst), [1.0])
 
 
 def test_init_pheromone_no_customers():
-    state = init_pheromone(make_instance([1], [], []))
-    assert state.theta == 1.0 and state.tau.size == 0
+    tau = init_pheromone(make_instance([1], [], []))
+    assert tau.dtype == np.float64 and tau.size == 0
 
 
 def test_heuristic_info(toy):
@@ -98,34 +96,34 @@ def test_roulette_select():
 
 
 def test_evaporate():
-    state = PheromoneState(tau=np.array([1.0, 0.5]), theta=0.1)
-    evaporate(state, 0.13)
-    assert np.allclose(state.tau, [0.87, 0.435])
-    evaporate(state, 1.0)
-    assert np.allclose(state.tau, [0.0, 0.0])
+    tau = np.array([1.0, 0.5])
+    assert evaporate(tau, 0.13) is None  # in place
+    assert np.allclose(tau, [0.87, 0.435])
+    evaporate(tau, 1.0)
+    assert np.allclose(tau, [0.0, 0.0])
     with pytest.raises(ValueError):
-        evaporate(state, 0.0)
+        evaporate(tau, 0.0)
     with pytest.raises(ValueError):
-        evaporate(state, 1.3)
+        evaporate(tau, 1.3)
 
 
 def test_evaporate_continuity_near_zero():
-    state = PheromoneState(tau=np.array([1.0, 0.5]), theta=0.1)
-    before = state.tau.copy()
-    evaporate(state, 1e-9)
-    assert np.all(np.abs(before - state.tau) < 1e-9 * before + 1e-18)
+    tau = np.array([1.0, 0.5])
+    before = tau.copy()
+    evaporate(tau, 1e-9)
+    assert np.all(np.abs(before - tau) < 1e-9 * before + 1e-18)
 
 
 def test_deposit(toy):
-    state = PheromoneState(tau=np.zeros(3), theta=0.1)
+    tau = np.zeros(3)
     from nrpbench import evaluate
     sol = evaluate(toy, [2, 3])
-    deposit(state, [sol], 0.02)
-    assert np.allclose(state.tau, [0.0, 0.28, 0.28])
-    deposit(state, [evaluate(toy, [])], 0.02)  # empty solution: no change
-    assert np.allclose(state.tau, [0.0, 0.28, 0.28])
-    deposit(state, [sol, sol], 0.02)  # two identical ants stack
-    assert np.allclose(state.tau, [0.0, 0.84, 0.84])
+    assert deposit(tau, [sol], 0.02) is None  # in place
+    assert np.allclose(tau, [0.0, 0.28, 0.28])
+    deposit(tau, [evaluate(toy, [])], 0.02)  # empty solution: no change
+    assert np.allclose(tau, [0.0, 0.28, 0.28])
+    deposit(tau, [sol, sol], 0.02)  # two identical ants stack
+    assert np.allclose(tau, [0.0, 0.84, 0.84])
 
 
 def test_construct_selects_everything_under_loose_budget(toy):
@@ -189,7 +187,7 @@ def test_construct_matches_positive_roulette_reference(family, monkeypatch):
     eta = heuristic_info(inst)
     # a fresh trail, and one evaporated to zero on every seventh customer
     fresh, patchy = init_pheromone(inst), init_pheromone(inst)
-    patchy.tau[::7] = 0.0
+    patchy[::7] = 0.0
     adds = []
     add = CoverTracker.add
 
@@ -199,14 +197,14 @@ def test_construct_matches_positive_roulette_reference(family, monkeypatch):
 
     for ratio in ("0.3", "0.5", "0.7"):
         bud = budget(inst, ratio)
-        for state in (fresh, patchy):
+        for tau in (fresh, patchy):
             gen, ref_gen = (rng.substream(7, rng.ANT, 1, 1) for _ in range(2))
-            weights = state.tau ** params.alpha * eta ** params.beta
+            weights = tau ** params.alpha * eta ** params.beta
             want = _reference_ant(inst, bud, weights, ref_gen)
             adds.clear()
             with monkeypatch.context() as m:
                 m.setattr(CoverTracker, "add", record_add)
-                sol = construct_solution(inst, bud, state, eta, params, gen)
+                sol = construct_solution(inst, bud, tau, eta, params, gen)
             assert adds == want
             assert sol.selected == set(want)
             assert gen.bit_generator.state == ref_gen.bit_generator.state
@@ -224,7 +222,7 @@ def test_run_deterministic(toy):
     b = run(toy, 7, params, seed=42)
     assert a.best == b.best
     assert a.trace == b.trace
-    assert np.array_equal(a.pheromone.tau, b.pheromone.tau)
+    assert np.array_equal(a.tau, b.tau)
 
 
 def test_run_finds_toy_optimum(toy):
@@ -251,10 +249,9 @@ def test_pheromone_positive_and_bounded_after_run():
         b = budget(inst, 0.5)
         params = AcoParams(iterations=12, ants=6)
         result = run(inst, b, params, seed=seed)
-        tau = result.pheromone.tau
-        theta = result.pheromone.theta
+        tau = result.tau
         w_total = int(inst.profit_vector.sum())
-        bound = theta * inst.profit_vector + params.ants * params.gamma * w_total / params.rho
+        bound = init_pheromone(inst) + params.ants * params.gamma * w_total / params.rho
         assert np.all(tau > 0)
         assert np.all(tau <= bound + 1e-12)
 

@@ -2,9 +2,11 @@ import importlib
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from conftest import subprocess_env
@@ -368,6 +370,29 @@ def test_exact_matches_subset_enumeration():
             sol = exact(inst, b)
             assert sol.profit == best_profit and sol.cost <= b
             assert evaluate(inst, sol.selected) == sol
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**6), st.integers(1, 100))
+def test_exact_matches_subset_enumeration_at_scaled_costs(seed, percent):
+    # HiGHS decides the budget row to a relative tolerance: every cost scaled
+    # by 10**k, for each k that keeps the total below the limit, keeps the
+    # optimum, also at one unit below the optimum's cost, where that
+    # tolerance would let it through
+    inst = bf.random_small_instance(seed)
+    customers = [(c.profit, c.requests) for c in inst.customers]
+    k = 0
+    while inst.total_cost * 10**k < EXACT_COST_LIMIT:
+        scaled = make_instance([r.cost * 10**k for r in inst.requirements],
+                               inst.graph.edges, customers)
+        b = budget(scaled, Fraction(percent, 100))
+        short = evaluate(scaled, bf.brute_best(scaled, b)[1]).cost - 1
+        for bud in (b, short) if short >= 0 else (b,):
+            sol = exact(scaled, bud)
+            assert sol.profit == bf.brute_best(scaled, bud)[0] and sol.cost <= bud
+            assert evaluate(scaled, sol.selected) == sol
+        k += 1
+    assert k >= 3  # costs below 10 and at most 20 requirements: a total below 200
 
 
 def test_exact_has_no_customer_guard():

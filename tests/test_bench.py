@@ -333,6 +333,15 @@ def test_run_bench_refuses_fewer_than_one_job(toy_file, tmp_path, jobs):
     ({"algorithms": ["fhc", "fhc"]}, "algorithm 'fhc' is listed twice"),
     # a generation seed the random streams refuse, which once failed every cell instead
     ({"sources": [GenSource(builtin_spec("NRP-1"), -1)]}, "negative generation seed, -1"),
+    # another algorithm's params object, which once failed every cell instead
+    ({"algorithms": ["fhc"], "params": {"fhc": AcoParams()}},
+     "params for fhc must be FhcParams or None, got AcoParams"),
+    ({"algorithms": ["haco"], "params": {"haco": FhcParams()}},
+     "params for haco must be AcoParams or None, got FhcParams"),
+    ({"params": {"exact": SaParams()}}, "params for exact must be None, got SaParams"),
+    # a ratio that is no text, which once failed in write_csv after the whole matrix ran
+    ({"ratios": [0.5]}, "ratio 0.5 must be given as text"),
+    ({"ratios": ["0.3", 0.3]}, "ratio 0.3 must be given as text"),
 ])
 def test_bench_config_checks_itself(toy_file, tmp_path, change, words):
     with pytest.raises(ConfigError, match=words):
@@ -431,6 +440,37 @@ def test_over_budget_results_are_error_rows(toy, toy_file, tmp_path, monkeypatch
     assert rows[0].startswith("toy,0.5,fhc,1,,,,")
     assert rows[0].endswith(",error:AssertionError: cost 14 exceeds budget 7")
     assert rows[1].startswith("toy,1.0,fhc,1,24,14,14,")
+
+
+def test_exact_rows_outdone_by_a_verified_cell_are_error_rows(toy, toy_file, tmp_path,
+                                                             monkeypatch, capsys):
+    # an exact answer that another verified cell of its instance-ratio beats
+    # is no optimum; every other row and dump stays as it was
+    def bench_once(tag):
+        cfg = tmp_path / f"{tag}.ini"
+        cfg.write_text(f"[bench]\nfiles = {toy_file}\nratios = 0.5 1.0\nseeds = 1\n"
+                       f"algorithms = exact fhc\nout = {tmp_path / tag}\n"
+                       f"dump = {tmp_path / (tag + '-dumps')}\n")
+        code = cli.main(["bench", str(cfg)])
+        dumps = {p.name: p.read_bytes() for p in (tmp_path / (tag + "-dumps")).iterdir()}
+        return code, _strip_time(tmp_path / f"{tag}.csv"), dumps
+
+    code, honest, honest_dumps = bench_once("honest")
+    assert code == 0
+    # optimal at 0.5 (budget 7), short of the optimum 24 at 1.0
+    short = evaluate(toy, [2, 3])
+    cls, pinned, effort, _call = bench._SOLVERS["exact"]
+    monkeypatch.setitem(bench._SOLVERS, "exact", (cls, pinned, effort, lambda *a: short))
+    capsys.readouterr()
+    code, rows, dumps = bench_once("short")
+    out, err = capsys.readouterr()
+    assert code == 2 and "3/4 runs completed" in out and "Traceback" not in err
+    wrong = ["toy", "1.0", "exact", "1", "", "", "",
+             "error:AssertionError: profit 14 is not optimal: fhc seed 1 verified 24"]
+    assert rows == [wrong if r[:3] == ["toy", "1.0", "exact"] else r for r in honest]
+    assert rows != honest
+    del honest_dumps["toy_1.0_exact_1.json"]
+    assert dumps == honest_dumps
 
 
 def test_verify_dump_reports_discrepancies(toy):

@@ -311,6 +311,26 @@ def test_cover_tracker_rejects_bad_ids(toy):
     assert CoverTracker(toy, [3, 1]).selected.tolist() == [True, False, True]
 
 
+@pytest.mark.parametrize("bad, words", [
+    (1.7, "customer id 1.7 is not an integer"),  # once truncated to 1 by the tracker
+    (True, "customer id True is not an integer"),  # once read as customer 1 by evaluate
+    (2.0, "customer id 2.0 is not an integer"),
+    ("1", "customer id '1' is not an integer"),
+    (0, "customer id 0 out of range 1..3"),
+    (4, "customer id 4 out of range 1..3"),
+])
+def test_one_customer_id_rule(toy, bad, words):
+    # evaluate, CoverTracker and closure refuse the same ids with the same message,
+    # alone, after a good id, or held in a numpy array
+    for ids in ([bad], [2, bad], np.array([bad])):
+        for build in (CoverTracker, evaluate):
+            with pytest.raises(ValueError, match=words):
+                build(toy, ids)
+    with pytest.raises(ValueError, match=words):
+        closure(toy, bad)
+    assert evaluate(toy, np.array([3, 1])).selected == {1, 3}
+
+
 @pytest.mark.parametrize("solver", ["aco", "grasp"])
 def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypatch):
     # _construct shrinks its candidate list after each add instead of asking
