@@ -4,9 +4,10 @@ Each customer carries a pheromone value, initialized proportional to
 profit and scaled into (0, 1]; the trail is one float64 array that the
 update steps change in place, and :func:`run` returns the final one as
 ``RunResult.tau``.  Ants build solutions one customer at a time with the
-random proportional rule: candidate i is picked with probability
-tau_i^alpha * eta_i^beta, normalized over the still affordable, unchosen
-customers, where eta_i is the static profit-to-closure-cost ratio.
+random proportional rule: each step draws one uniform r and picks the
+first still affordable, unchosen customer whose running sum of weights
+tau_i^alpha * eta_i^beta reaches r times their total, where eta_i is the
+static profit-to-closure-cost ratio.
 After all ants of an iteration finish (optionally each polished to a
 1-swap local optimum by the sweeping climb), the trail evaporates once
 by factor (1 - rho) and every ant deposits gamma * profit(solution) on
@@ -72,43 +73,26 @@ def heuristic_info(instance: Instance) -> np.ndarray:
     return instance.profit_vector / np.maximum(1.0, instance.closure_cost_vector)
 
 
-def _selection_probabilities(weights: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """The random proportional rule over the candidates ``cand`` (0-based ids).
+def _roulette_select(weights: np.ndarray, r: float) -> int:
+    """The random proportional rule: the 0-based position drawn by ``r`` in [0, 1).
 
-    Their ``weights`` (tau^alpha * eta^beta) scaled to sum to 1, in the
-    order of ``cand``; uniform when the total is zero or not finite, as
-    for a trail that has evaporated to nothing.
+    Entry k is picked with probability ``weights[k] / sum(weights)``: the
+    first entry whose running sum reaches ``r`` times the total.  Zero
+    entries are never chosen; an r of 1 or more gives the last positive
+    entry, and r = 0 the first.  A total that is zero or not finite (a
+    trail evaporated to nothing, weights that overflowed) makes every
+    entry weigh the same.
     """
-    w = weights[cand]
-    total = np.add.reduce(w)
-    if 0 < total < np.inf:
-        w /= total
-        return w
-    return np.full(w.size, 1.0 / w.size)
-
-
-def _roulette_select(probabilities: np.ndarray, r: float) -> int:
-    """First customer (in id order) whose cumulative probability reaches r.
-
-    Works on any non-negative probability vector: the result is the
-    1-based position of the chosen entry, and zero entries are never
-    chosen.  Rounding can leave r above the final cumulative value; the
-    last entry with positive probability is returned then.
-
-    One running sum over the whole vector finds the answer: adding an
-    exact zero leaves a sequential ``cumsum`` unchanged, so it picks what
-    the sum over the positive entries alone picks.  The first entry to
-    reach r can be zero only at position 0 with r <= 0, where the answer
-    is the first positive entry; past the end it is the last one.
-    """
-    p = np.asarray(probabilities, dtype=np.float64)
-    k = int(np.add.accumulate(p).searchsorted(r, side="left"))
-    if k < p.size and p.item(k) > 0:
-        return k + 1
-    positive = (p > 0).nonzero()[0]
-    if positive.size == 0:
-        raise ValueError("no positive-probability candidate")
-    return int(positive[0] if k < p.size else positive[-1]) + 1
+    run = np.add.accumulate(weights)
+    total = run.item(-1)
+    if not 0 < total < np.inf:
+        return min(int(r * run.size), run.size - 1)
+    k = int(run.searchsorted(r * total, side="left"))
+    # a zero entry leaves the sum as it was, so it comes first only at k = 0
+    if k < run.size and weights.item(k) > 0:
+        return k
+    positive = (weights > 0).nonzero()[0]
+    return int(positive[0] if k < run.size else positive[-1])
 
 
 def construct_solution(
@@ -124,12 +108,13 @@ def construct_solution(
     Candidates at each step are the unchosen customers whose marginal
     cost keeps the running cost within budget; the walk stops when no
     candidate remains.  tau is constant during a single construction,
-    so the rule's weights are computed once up front.
+    so the rule's weights are computed once up front, and each step
+    takes one running sum over the candidates' weights.
     """
     weights = tau ** params.alpha * eta ** params.beta
 
     def choose(cover, cand):
-        return _roulette_select(_selection_probabilities(weights, cand), gen.random()) - 1
+        return _roulette_select(weights[cand], gen.random())
 
     return _construct(instance, budget, choose)
 

@@ -151,6 +151,14 @@ def _parse_params(algo: str, given, error: type[Exception]):
         raise error(str(e)) from None
 
 
+def _check_params(algo: str, params) -> None:
+    """Refuse another algorithm's params (None runs the defaults; exact takes None only)."""
+    cls = _solver(algo)[0]
+    if params is not None and (cls is None or not isinstance(params, cls)):
+        want = f"{cls.__name__} or None" if cls else "None"
+        raise ConfigError(f"params for {algo} must be {want}, got {type(params).__name__}")
+
+
 def default_params(algo: str):
     cls, pinned, _, _ = _solver(algo)
     return None if cls is None else cls(**pinned)
@@ -160,6 +168,7 @@ def solve_one(instance: Instance, budget_value: int, algo: str, seed: int,
               params=None) -> tuple[Solution, int | None]:
     """Run one solver; returns the solution and its effort knob (if any)."""
     _, pinned, effort, call = _solver(algo)
+    _check_params(algo, params)
     if params is None:
         params = default_params(algo)
     elif pinned:
@@ -187,6 +196,8 @@ class BenchConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if type(self.jobs) is not int:
+            raise ConfigError(f"jobs must be an integer, got {self.jobs!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if not self.sources:
@@ -196,11 +207,9 @@ class BenchConfig:
         for a in self.algorithms:
             _solver(a)  # raises for an unknown name
         for a, p in self.params.items():
-            cls = _solver(a)[0]
-            # None runs the defaults; exact takes no params object at all
-            if p is not None and (cls is None or not isinstance(p, cls)):
-                want = f"{cls.__name__} or None" if cls else "None"
-                raise ConfigError(f"params for {a} must be {want}, got {type(p).__name__}")
+            _check_params(a, p)
+        if any(type(s) is not int for s in self.seeds):  # a bool would name rows True
+            raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
         if any(s < 0 for s in self.seeds):
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         for r in self.ratios:

@@ -8,6 +8,7 @@ come from decimal ratio strings, so all numbers are exactly
 reproducible on any machine.
 """
 
+import math
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ import bruteforce as bf
 from conftest import subprocess_env
 from nrpbench import (AcoParams, FhcParams, GraspParams, InvalidInstanceError, SaParams, budget,
                       builtin_spec, generate, rng, run, solve_one)
-from nrpbench.aco import _selection_probabilities, init_pheromone
+from nrpbench.aco import _roulette_select, init_pheromone
 from nrpbench.local_search import fhc
 
 RATIOS = ("0.3", "0.5", "0.7")
@@ -89,8 +90,11 @@ def test_criterion_3_climb_results_admit_no_move(criterion):
 
 
 def test_criterion_4_selection_probabilities_normalize(criterion):
+    # the ants' draw puts candidate i's cut point at the exact normalized
+    # cumulative probability u_i: a draw just below it picks i or earlier,
+    # one just above it picks a later candidate
     gen = rng.substream(0, 95)
-    worst = 0.0
+    misplaced = checks = 0
     for _ in range(10_000):
         m = int(gen.integers(2, 31))
         tau = gen.random(m) + 1e-12
@@ -98,11 +102,18 @@ def test_criterion_4_selection_probabilities_normalize(criterion):
         k = int(gen.integers(1, m + 1))
         cands = gen.choice(m, size=k, replace=False)
         alpha, beta = gen.uniform(0.0, 3.0, size=2)
-        probs = _selection_probabilities(tau ** float(alpha) * eta ** float(beta), cands)
-        worst = max(worst, abs(float(probs.sum()) - 1.0))
-    criterion(4, worst <= 1e-9,
-              f"max |sum(p) - 1| over 10^4 random (tau, eta, candidates) "
-              f"draws = {worst:.2e} (need <= 1e-9)")
+        w = (tau ** float(alpha) * eta ** float(beta))[cands]
+        ws = w.tolist()
+        total = math.fsum(ws)
+        for i in range(k - 1):
+            u = math.fsum(ws[:i + 1]) / total
+            misplaced += _roulette_select(w, u - 1e-9) > i
+            misplaced += _roulette_select(w, u + 1e-9) <= i
+            checks += 2
+    criterion(4, misplaced == 0,
+              f"{misplaced} of {checks} draws 1e-9 from a normalized cumulative "
+              f"probability over 10^4 random (tau, eta, candidates) draws fell on "
+              f"the wrong side of it (need 0)")
 
 
 def test_criterion_5_pheromone_stays_bounded(criterion):

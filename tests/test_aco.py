@@ -4,8 +4,8 @@ import pytest
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, budget, builtin_spec, generate, make_instance,
                       rng, solve_one)
-from nrpbench.aco import (_roulette_select, _selection_probabilities, construct_solution,
-                          deposit, evaporate, heuristic_info, init_pheromone, run)
+from nrpbench.aco import (_roulette_select, construct_solution, deposit, evaporate,
+                          heuristic_info, init_pheromone, run)
 
 
 def test_init_pheromone(toy):
@@ -50,49 +50,55 @@ def test_colony_solves_degenerate_instances(algo):
     assert none.selected == frozenset() and none.profit == 0
 
 
+def _picks(weights, rs):
+    return [_roulette_select(np.asarray(weights, dtype=np.float64), r) for r in rs]
+
+
 def test_selection_probabilities_symmetric():
-    probs = _selection_probabilities(np.array([0.5, 0.5]), np.array([0, 1]))
-    assert np.allclose(probs, [0.5, 0.5])
+    # raw weights: only their ratio matters
+    for w in ([0.5, 0.5], [3.0, 3.0]):
+        assert _picks(w, [0.0, 0.25, 0.4999, 0.5001, 0.99]) == [0, 0, 0, 1, 1]
 
 
 def test_selection_probabilities_ratio():
     tau, eta = np.array([0.5, 0.5]), np.array([2.0, 1.0])
-    probs = _selection_probabilities(tau ** 1.0 * eta ** 1.0, np.array([0, 1]))
-    assert np.allclose(probs, [2 / 3, 1 / 3])
+    # weights 1.0 and 0.5: the cut point sits at 2/3
+    assert _picks(tau ** 1.0 * eta ** 1.0, [0.66, 0.67]) == [0, 1]
 
 
 def test_selection_probabilities_restrict_to_candidates():
     weights = np.array([0.9, 0.5, 0.2, 0.4])
-    # one entry per candidate, in the candidates' order
-    assert _selection_probabilities(weights, np.array([2])).tolist() == [1.0]
-    assert np.allclose(_selection_probabilities(weights, np.array([3, 1])), [4 / 9, 5 / 9])
+    # the caller gathers the candidates' weights, in the candidates' order
+    assert _picks(weights[np.array([2])], [0.0, 0.5, 0.999]) == [0, 0, 0]
+    assert _picks(weights[np.array([3, 1])], [0.44, 0.45]) == [0, 1]  # cut at 4/9
 
 
 def test_selection_probabilities_uniform_when_exponents_zero():
     tau, eta = np.array([0.9, 0.5, 0.2]), np.array([1.0, 2.0, 3.0])
-    probs = _selection_probabilities(tau ** 0.0 * eta ** 0.0, np.array([0, 1, 2]))
-    assert np.allclose(probs, [1 / 3, 1 / 3, 1 / 3])
+    rs = [0.0, 0.32, 0.34, 0.65, 0.67, 0.99]
+    assert _picks(tau ** 0.0 * eta ** 0.0, rs) == [0, 0, 1, 1, 2, 2]
 
 
 @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
 def test_selection_probabilities_uniform_when_the_total_is_zero_or_not_finite(bad):
     # zero: a trail evaporated to nothing; inf and NaN: weights that overflowed
     weights = np.array([bad, 0.0, 0.0, 1.0, 3.0])
-    assert _selection_probabilities(weights, np.array([0, 1, 2])).tolist() == [1 / 3] * 3
+    assert _picks(weights[np.array([0, 1, 2])], [0.0, 0.32, 0.34, 0.65, 0.67, 0.99, 1.0]) == \
+        [0, 0, 1, 1, 2, 2, 2]
     # only the candidates' own total decides
-    assert _selection_probabilities(weights, np.array([4, 3])).tolist() == [0.75, 0.25]
+    assert _picks(weights[np.array([4, 3])], [0.74, 0.76]) == [0, 1]
 
 
 def test_roulette_select():
-    probs = np.array([0.2, 0.3, 0.5])
-    assert _roulette_select(probs, 0.6) == 3
-    assert _roulette_select(probs, 0.0) == 1
-    assert _roulette_select(probs, 0.2) == 1  # cumulative 0.2 >= 0.2
-    assert _roulette_select(probs, 0.21) == 2
-    assert _roulette_select(np.array([1.0]), 0.99) == 1
-    # rounding overshoot falls back to the last positive candidate
-    assert _roulette_select(probs, 1.0 + 1e-12) == 3
-    assert _roulette_select(np.array([0.0, 0.5, 0.0, 0.5]), 0.7) == 4
+    w = np.array([0.2, 0.3, 0.5])
+    assert _picks(w, [0.6, 0.0, 0.2, 0.21]) == [2, 0, 0, 1]  # 0.2 reaches 0.2 * 1.0
+    assert _picks(10 * w, [0.6, 0.21]) == [2, 1]
+    assert _picks([1.0], [0.0, 0.99]) == [0, 0]
+    # an r of 1 or more gives the last positive entry, r = 0 the first
+    assert _picks(w, [1.0, 1.0 + 1e-12]) == [2, 2]
+    assert _picks([0.0, 0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.7, 1.0, 1.5]) == [1, 1, 3, 3, 3]
+    # zero entries are never chosen
+    assert set(_picks([0.0, 2.0, 0.0, 0.0], np.linspace(0.0, 1.0, 11))) == {1}
 
 
 def test_evaporate():
@@ -180,7 +186,7 @@ def _reference_ant(inst, bud, weights, gen):
     return moves
 
 
-@pytest.mark.parametrize("family", ["NRP-2", "NRP-4"])
+@pytest.mark.parametrize("family", ["NRP-1", "NRP-2", "NRP-3", "NRP-4", "NRP-5"])
 def test_construct_matches_positive_roulette_reference(family, monkeypatch):
     inst = generate(builtin_spec(family), 1)
     params = AcoParams()

@@ -39,6 +39,17 @@ def test_solve_one_refuses_an_unknown_algorithm(toy):
         solve_one(toy, 7, "tabu", 1)
 
 
+@pytest.mark.parametrize("algo, params, words", [
+    ("fhc", AcoParams(), "params for fhc must be FhcParams or None, got AcoParams"),
+    ("haco", FhcParams(), "params for haco must be AcoParams or None, got FhcParams"),
+    ("exact", SaParams(), "params for exact must be None, got SaParams"),
+])
+def test_solve_one_refuses_another_algorithms_params(toy, algo, params, words):
+    # the check BenchConfig makes; the solver once failed on the wrong object instead
+    with pytest.raises(ConfigError, match=words):
+        solve_one(toy, 7, algo, 1, params)
+
+
 def test_solve_one_effort_reporting(toy):
     sol, effort = solve_one(toy, 7, "haco", 1, AcoParams(iterations=4, ants=3))
     assert effort == 4 and sol.cost <= 7
@@ -342,6 +353,14 @@ def test_run_bench_refuses_fewer_than_one_job(toy_file, tmp_path, jobs):
     # a ratio that is no text, which once failed in write_csv after the whole matrix ran
     ({"ratios": [0.5]}, "ratio 0.5 must be given as text"),
     ({"ratios": ["0.3", 0.3]}, "ratio 0.3 must be given as text"),
+    # seeds and jobs that are no integers: True once wrote a dump named ..._True.json,
+    # "1" and "2" raised a bare TypeError, and 1.5 jobs ran
+    ({"seeds": [True]}, r"seeds must be integers, got \[True\]"),
+    ({"seeds": [1, 1.5]}, r"seeds must be integers, got \[1, 1\.5\]"),
+    ({"seeds": ["1"]}, r"seeds must be integers, got \['1'\]"),
+    ({"jobs": True}, "jobs must be an integer, got True"),
+    ({"jobs": 1.5}, "jobs must be an integer, got 1.5"),
+    ({"jobs": "2"}, "jobs must be an integer, got '2'"),
 ])
 def test_bench_config_checks_itself(toy_file, tmp_path, change, words):
     with pytest.raises(ConfigError, match=words):

@@ -2,7 +2,6 @@
 no customers, customers with empty requests, zero budget and ratio 1."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
@@ -305,15 +304,14 @@ def test_top_k_is_the_head_of_a_full_sort(case):
 
 
 def _positive_roulette(p, r):
-    """The roulette as first written: a running sum over the positive entries only."""
+    """The roulette as first written: a running sum over the positive entries
+    only, searched for r scaled by the same total."""
     positive = (p > 0).nonzero()[0]
-    if positive.size == 0:
-        raise ValueError("no positive-probability candidate")
     cum = p[positive].cumsum()
-    k = int(cum.searchsorted(r, side="left"))
+    k = int(cum.searchsorted(r * p.cumsum()[-1], side="left"))
     if k >= positive.size:
         k = positive.size - 1
-    return int(positive[k]) + 1
+    return int(positive[k])
 
 
 @st.composite
@@ -332,14 +330,13 @@ def weight_vectors(draw):
 @FAST
 @given(weight_vectors(), st.lists(st.floats(0.0, 1.0), max_size=5))
 def test_roulette_matches_the_positive_filter(p, uniforms):
-    if not (p > 0).any():
-        for r in (0.0, 0.5):
-            with pytest.raises(ValueError):
-                _roulette_select(p, r)
+    if not (p > 0).any():  # no weight at all: every entry weighs the same
+        for u in (0.0, 0.5, 0.999, 1.0):
+            assert _roulette_select(p, u) == min(int(u * p.size), p.size - 1)
         return
-    cums = p.cumsum().tolist()
-    total = cums[-1]
-    rs = [0.0, total * (1 + 1e-12), *cums, *(u * total for u in uniforms),
-          *(np.nextafter(c, 0.0) for c in cums), *(np.nextafter(c, 2.0 * total) for c in cums)]
-    for r in rs:
-        assert _roulette_select(p, r) == _positive_roulette(p, r), (p.tolist(), r)
+    cums = p.cumsum()
+    cuts = (cums / cums[-1]).tolist()
+    us = [0.0, 1.0, 1.0 + 1e-12, *cuts, *uniforms,
+          *(np.nextafter(c, 0.0) for c in cuts), *(np.nextafter(c, 2.0) for c in cuts)]
+    for u in us:
+        assert _roulette_select(p, u) == _positive_roulette(p, u), (p.tolist(), u)
