@@ -11,7 +11,9 @@ static profit-to-closure-cost ratio.
 After all ants of an iteration finish (optionally each polished to a
 1-swap local optimum by the sweeping climb), the trail evaporates once
 by factor (1 - rho) and every ant deposits gamma * profit(solution) on
-the customers it selected.
+the customers it selected.  Each ant's cover tracker goes from its
+construction through its climb to the deposit; only an ant that beats
+the incumbent is made a :class:`~nrpbench.model.Solution`.
 
 With local search enabled the solver is the hybrid variant (HACO);
 without it, plain ACO.
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .local_search import sweep_improve
-from .model import Instance, Solution, _construct, evaluate
+from .model import CoverTracker, Instance, Solution, _construct, evaluate
 
 
 @dataclass
@@ -102,8 +104,8 @@ def construct_solution(
     eta: np.ndarray,
     params: AcoParams,
     gen: np.random.Generator,
-) -> Solution:
-    """One ant's probabilistic greedy fill, always feasible.
+) -> CoverTracker:
+    """One ant's probabilistic greedy fill, always feasible; returns its tracker.
 
     Candidates at each step are the unchosen customers whose marginal
     cost keeps the running cost within budget; the walk stops when no
@@ -126,10 +128,10 @@ def evaporate(tau: np.ndarray, rho: float) -> None:
     tau *= 1.0 - rho
 
 
-def deposit(tau: np.ndarray, solutions, gamma: float) -> None:
-    """Each ant adds gamma * its solution profit onto its selected customers, in place."""
-    for sol in solutions:
-        tau[[c - 1 for c in sol.selected]] += gamma * sol.profit
+def deposit(tau: np.ndarray, covers, gamma: float) -> None:
+    """Each ant adds gamma * its profit onto the customers its tracker selects, in place."""
+    for cover in covers:
+        tau[cover.selected] += gamma * cover.profit
 
 
 def run(
@@ -148,17 +150,17 @@ def run(
     best = evaluate(instance, ())
     trace: list[tuple[int, int]] = []
     for it in range(1, params.iterations + 1):
-        sols = []
+        covers = []
         for k in range(1, params.ants + 1):
             gen = rng.substream(seed, rng.ANT, it, k)
-            sol = construct_solution(instance, budget, tau, eta, params, gen)
+            cover = construct_solution(instance, budget, tau, eta, params, gen)
             if params.use_local_search:
-                sol = sweep_improve(instance, budget, sol, gen)
-            sols.append(sol)
+                cover = sweep_improve(instance, budget, cover, gen)
+            covers.append(cover)
         evaporate(tau, params.rho)
-        deposit(tau, sols, params.gamma)
-        for sol in sols:
-            if sol.profit > best.profit:
-                best = sol
+        deposit(tau, covers, params.gamma)
+        for cover in covers:
+            if cover.profit > best.profit:
+                best = cover.solution()
         trace.append((it, best.profit))
     return RunResult(best=best, trace=trace, tau=tau)

@@ -10,10 +10,11 @@ are enough of them for a full list, their head is the head of a full
 sort.  Only a step left with too few partitions again.
 
 The annealer flips one customer's membership per step through a
-:class:`~nrpbench.model.CoverTracker` started from a random feasible
-selection, rejects infeasible proposals outright, and cools with the
-Lundy-Mees update temp <- temp / (1 + lm_beta * temp) applied after
-every ``moves_per_temp`` attempts.  The schedule's initial temperature,
+:class:`~nrpbench.model.CoverTracker`, the one
+:func:`~nrpbench.local_search.random_feasible` fills, rejects infeasible
+proposals outright, and cools with the Lundy-Mees update
+temp <- temp / (1 + lm_beta * temp) applied after every
+``moves_per_temp`` attempts.  The schedule's initial temperature,
 final temperature, and step granularity are documented defaults, not
 literature values; all are configurable.  The chain stops at the final
 temperature, or earlier once it is frozen: no unselected customer fits
@@ -90,8 +91,9 @@ class SaParams:
 
 def grasp_construct(
     instance: Instance, budget: int, rcl_length: int, gen: np.random.Generator
-) -> Solution:
-    """Greedy-randomized fill restricted to the top-`rcl_length` candidates.
+) -> CoverTracker:
+    """Greedy-randomized fill restricted to the top-`rcl_length` candidates;
+    returns its tracker.
 
     Candidates are scored by profit / max(1, marginal cost) and ranked
     score-descending with ties to the smaller id, so rcl_length = 1 is
@@ -169,12 +171,11 @@ def sa(instance: Instance, budget: int, params: SaParams, seed: int) -> Solution
     """
     gen = rng.substream(seed, rng.SA_CHAIN)
     m = instance.n_customers
-    start = random_feasible(instance, budget, gen)
+    cover = random_feasible(instance, budget, gen)
     if m == 0:
-        return start
+        return cover.solution()
     profits = instance.profit_vector.tolist()
-    cover = CoverTracker(instance, start.selected)
-    profit = start.profit
+    profit = cover.profit
 
     temp = params.initial_temp
     if temp is None:

@@ -159,6 +159,15 @@ def _check_params(algo: str, params) -> None:
         raise ConfigError(f"params for {algo} must be {want}, got {type(params).__name__}")
 
 
+def _seed_fault(seed) -> str | None:
+    """The one seed rule, for solver and generation seeds alike: a seed is an
+    ``int``, not a bool (which would name rows and dump files True), and not
+    negative.  Returns what ``seed`` must be and is not, else None."""
+    if type(seed) is not int:
+        return "an integer"
+    return "non-negative" if seed < 0 else None
+
+
 def default_params(algo: str):
     cls, pinned, _, _ = _solver(algo)
     return None if cls is None else cls(**pinned)
@@ -166,9 +175,15 @@ def default_params(algo: str):
 
 def solve_one(instance: Instance, budget_value: int, algo: str, seed: int,
               params=None) -> tuple[Solution, int | None]:
-    """Run one solver; returns the solution and its effort knob (if any)."""
+    """Run one solver; returns the solution and its effort knob (if any).
+
+    Another algorithm's params, or a seed that breaks the seed rule, raise
+    ConfigError before the solver runs."""
     _, pinned, effort, call = _solver(algo)
     _check_params(algo, params)
+    fault = _seed_fault(seed)
+    if fault:
+        raise ConfigError(f"seed must be {fault}, got {seed!r}")
     if params is None:
         params = default_params(algo)
     elif pinned:
@@ -208,9 +223,10 @@ class BenchConfig:
             _solver(a)  # raises for an unknown name
         for a, p in self.params.items():
             _check_params(a, p)
-        if any(type(s) is not int for s in self.seeds):  # a bool would name rows True
+        faults = set(map(_seed_fault, self.seeds))
+        if "an integer" in faults:
             raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
-        if any(s < 0 for s in self.seeds):
+        if faults != {None}:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         for r in self.ratios:
             if not isinstance(r, str):  # the ratio's text names its rows and dump files
@@ -225,7 +241,11 @@ class BenchConfig:
                 raise ConfigError(f"ratio {r} outside (0, 1]")
         seen = set()
         for src in self.sources:
-            if isinstance(src, GenSource) and src.seed < 0:
+            fault = _seed_fault(src.seed) if isinstance(src, GenSource) else None
+            if fault == "an integer":
+                raise ConfigError(f"{src.spec.name} has a generation seed that is no integer, "
+                                  f"{src.seed!r}")
+            if fault:
                 raise ConfigError(f"{src.spec.name} has a negative generation seed, {src.seed}")
             if src.name in seen:
                 raise ConfigError(f"two instance sources are named {src.name!r}; "

@@ -5,9 +5,10 @@ round the loop draws an order of the unselected customers and takes the
 first move in it: an add of the first customer that fits within budget,
 else, for the first customer that can be swapped in at a profit gain, the
 best such swap (maximum gain, ties to the smaller outgoing id).  The climb
-ends at the first order with no move.  The cover state is one
-:class:`~nrpbench.model.CoverTracker` started from the given selection,
-whose computed cost must fit the budget.
+ends at the first order with no move.  The cover state is a copy of the
+given :class:`~nrpbench.model.CoverTracker`, whose cost must fit the
+budget; the climb flips and returns the copy, so the start is left as it
+was, and a construction hands its tracker on with no rebuild.
 
 `improve` is the cheap first-found variant: its order is one unselected
 customer drawn uniformly, so it stops the first time the sampled
@@ -33,7 +34,9 @@ pass costs a few numpy calls over the customers plus, most often, one
 closure walk, and nothing over every requirement.
 
 The restart solver and GRASP share one loop that keeps the best of
-independent `improve` climbs, from random feasible selections or constructions.
+independent `improve` climbs, from random feasible selections or
+constructions, and makes a :class:`~nrpbench.model.Solution` of the winner
+only.
 """
 
 from __future__ import annotations
@@ -59,17 +62,18 @@ class FhcParams:
             raise ValueError("restarts must be positive")
 
 
-def random_feasible(instance: Instance, budget: int, gen: np.random.Generator) -> Solution:
-    """Greedy fill along a uniformly random customer order."""
+def random_feasible(instance: Instance, budget: int, gen: np.random.Generator) -> CoverTracker:
+    """Greedy fill along a uniformly random customer order; returns its tracker."""
     cover = CoverTracker(instance)
     for idx in gen.permutation(instance.n_customers).tolist():
         if cover.cost + cover.marginal[idx] <= budget:
             cover.add(idx)
-    return cover.solution()
+    return cover
 
 
-def improve(instance: Instance, budget: int, start: Solution, gen: np.random.Generator) -> Solution:
-    """First-found climb: stops when one sampled customer cannot move.
+def improve(instance: Instance, budget: int, start: CoverTracker,
+            gen: np.random.Generator) -> CoverTracker:
+    """First-found climb on a copy of ``start``: stops when one sampled customer cannot move.
 
     Each round draws j uniformly from the unselected customers, with one
     ``gen.integers`` call.  A feasible add of j is taken outright;
@@ -80,9 +84,9 @@ def improve(instance: Instance, budget: int, start: Solution, gen: np.random.Gen
     return _climb(instance, budget, start, lambda out: out[[gen.integers(0, out.size)]])
 
 
-def sweep_improve(instance: Instance, budget: int, start: Solution,
-                  gen: np.random.Generator) -> Solution:
-    """Climb from a feasible selection to a 1-swap local optimum.
+def sweep_improve(instance: Instance, budget: int, start: CoverTracker,
+                  gen: np.random.Generator) -> CoverTracker:
+    """Climb from a copy of the feasible tracker ``start`` to a 1-swap local optimum.
 
     Passes repeat until no move exists.  A pass visits the unselected
     customers in random order; the first one that can either be added
@@ -99,9 +103,10 @@ def sweep_improve(instance: Instance, budget: int, start: Solution,
     return _climb(instance, budget, start, gen.permutation)
 
 
-def _climb(instance: Instance, budget: int, start: Solution, draw) -> Solution:
-    """Take the first move in ``draw(unselected ids)`` until an order has none."""
-    cover = CoverTracker(instance, start.selected)
+def _climb(instance: Instance, budget: int, start: CoverTracker, draw) -> CoverTracker:
+    """Take the first move in ``draw(unselected ids)`` until an order has none,
+    on a copy of ``start``, and return that copy."""
+    cover = start.copy()
     if cover.cost > budget:
         raise InfeasibleStartError(f"start cost {cover.cost} exceeds budget {budget}")
     while True:
@@ -115,7 +120,7 @@ def _climb(instance: Instance, budget: int, start: Solution, draw) -> Solution:
         cover.add(j)
         if l is not None:
             cover.drop(l)
-    return cover.solution()
+    return cover
 
 
 def _first_move(instance: Instance, cover: CoverTracker, budget: int,
@@ -168,8 +173,9 @@ def fhc(instance: Instance, budget: int, params: FhcParams, seed: int) -> Soluti
 def _best_of_restarts(instance: Instance, budget: int, restarts: int, seed: int, tag: int,
                       start) -> Solution:
     """The most profitable of ``restarts`` climbs with :func:`improve` from
-    ``start(gen)``, the earliest among ties; restart i draws from the stream
-    (seed, tag, i).  GRASP and the restart solver differ only in ``start``."""
+    the tracker ``start(gen)``, the earliest among ties, as a :class:`Solution`;
+    restart i draws from the stream (seed, tag, i).  GRASP and the restart
+    solver differ only in ``start``."""
     gens = (rng.substream(seed, tag, i) for i in range(1, restarts + 1))
     return max((improve(instance, budget, start(gen), gen) for gen in gens),
-               key=lambda sol: sol.profit)
+               key=lambda cover: cover.profit).solution()

@@ -29,11 +29,16 @@ reads and writes single entries through memoryviews of the tracker's own
 count and marginal arrays, which are never rebound, so the numpy code
 reading them sees each flip with no copy or sync step.  The
 constructions, both climbs and the annealer's chain all flip
-customers through it, and :meth:`CoverTracker.solution` reads its
-result from that state.  :func:`evaluate` works a selection out from
-scratch and is the independent check of the tracker.  Both read only
-these lists: no solver path builds a dense customer x requirement array
-or calls BLAS.
+customers through it.  A construction returns its tracker, and a climb
+flips a :meth:`~CoverTracker.copy` of the tracker it is given, so a
+construction's cover passes to its climb with no rebuild; only the
+result a solver returns becomes a :class:`Solution`, which
+:meth:`CoverTracker.solution` reads from the tracker's state.  An empty
+tracker, where every construction starts, needs no gather: its counts
+are zeros and its marginals the closure costs.  :func:`evaluate` works a
+selection out from scratch and is the independent check of the tracker.
+Both read only these lists: no solver path builds a dense customer x
+requirement array or calls BLAS.
 """
 
 from __future__ import annotations
@@ -376,6 +381,11 @@ class CoverTracker:
     two (an add) or from two to one (a drop) moves it out of or into the
     other owner's.  A tracker that never prices (a construction's) pays a
     few ``is None`` tests per flip for them.
+
+    ``profit`` is read from the mask when asked for, so flips do no work
+    for it.  :meth:`copy` gives an independent tracker of the same
+    selection, one that has not started pricing; the climbs flip a copy
+    of the tracker they are given.
     """
 
     def __init__(self, instance: Instance, start: Iterable[int] = ()):
@@ -389,17 +399,44 @@ class CoverTracker:
         self._cost = instance._cost
         self._cost_f = instance._cost_f64
         self.selected = np.zeros(instance.n_customers, dtype=bool)
-        self.selected[_customer_indices(instance, start)] = True
-        row, req = instance._csr_row, instance._csr_req
-        self.counts = np.bincount(req[self.selected[row]], minlength=instance.n_requirements)
-        self.cost = int(instance.cost_vector[self.counts > 0].sum())
-        # a customer's marginal is the cost of its uncovered requirements
-        uncovered = self._cost_f * (self.counts == 0)
-        self.marginal = np.bincount(row, weights=uncovered[req], minlength=instance.n_customers)
+        chosen = _customer_indices(instance, start)
+        if chosen.size:
+            self.selected[chosen] = True
+            row, req = instance._csr_row, instance._csr_req
+            self.counts = np.bincount(req[self.selected[row]], minlength=instance.n_requirements)
+            self.cost = int(instance.cost_vector[self.counts > 0].sum())
+            # a customer's marginal is the cost of its uncovered requirements (float64
+            # even with no closure entries, where bincount gives int64)
+            uncovered = self._cost_f * (self.counts == 0)
+            marginal = np.bincount(row, weights=uncovered[req], minlength=instance.n_customers)
+            self.marginal = marginal.astype(np.float64, copy=False)
+        else:  # nothing is covered: every marginal is the customer's closure cost
+            self.counts = np.zeros(instance.n_requirements, dtype=np.intp)
+            self.cost = 0
+            self.marginal = instance.closure_cost_vector.astype(np.float64)
+        self._views()
+
+    def _views(self) -> None:
+        """Memoryviews of the tracker's own counts and marginals, and no pricing state."""
         self._counts_v, self._marginal_v = memoryview(self.counts), memoryview(self.marginal)
         # per requirement, the selected customers' summed ids, and per customer
         # its freed, then a 0 at slot n; None until pricing starts
         self._owner_sum = self._freed = self._owner_v = self._freed_v = None
+
+    @property
+    def profit(self) -> int:
+        """The selection's summed profit, read from the mask."""
+        return int(self._inst.profit_vector[self.selected].sum())
+
+    def copy(self) -> CoverTracker:
+        """An independent tracker of the same selection: flipping either leaves
+        the other as it was.  The copy has not started pricing."""
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self))
+        twin.selected, twin.counts, twin.marginal = (
+            self.selected.copy(), self.counts.copy(), self.marginal.copy())
+        twin._views()
+        return twin
 
     def add(self, index: int) -> None:
         """Add customer by 0-based index."""
@@ -486,8 +523,9 @@ class CoverTracker:
                         self.cost, int(self._inst.profit_vector[idx].sum()))
 
 
-def _construct(instance: Instance, budget: int, choose) -> Solution:
-    """Greedy fill: add ``cand[choose(cover, cand)]`` until no candidate is left.
+def _construct(instance: Instance, budget: int, choose) -> CoverTracker:
+    """Greedy fill: add ``cand[choose(cover, cand)]`` until no candidate is
+    left; returns the tracker, which a climb can take on as it is.
 
     ``cand`` holds the 0-based ids :meth:`CoverTracker.affordable` would
     return, and ``choose`` returns a position in it.  The list is worked
@@ -517,4 +555,4 @@ def _construct(instance: Instance, budget: int, choose) -> Solution:
             keep[k] = False
             cand = cand[keep]
             most = cover.marginal[cand].max(initial=0.0)
-    return cover.solution()
+    return cover

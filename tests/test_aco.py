@@ -1,11 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, budget, builtin_spec, generate, make_instance,
                       rng, solve_one)
+from nrpbench import aco
 from nrpbench.aco import (_roulette_select, construct_solution, deposit, evaporate,
                           heuristic_info, init_pheromone, run)
+from nrpbench.local_search import improve, random_feasible, sweep_improve
 
 
 def test_init_pheromone(toy):
@@ -122,11 +126,10 @@ def test_evaporate_continuity_near_zero():
 
 def test_deposit(toy):
     tau = np.zeros(3)
-    from nrpbench import evaluate
-    sol = evaluate(toy, [2, 3])
+    sol = CoverTracker(toy, [2, 3])
     assert deposit(tau, [sol], 0.02) is None  # in place
     assert np.allclose(tau, [0.0, 0.28, 0.28])
-    deposit(tau, [evaluate(toy, [])], 0.02)  # empty solution: no change
+    deposit(tau, [CoverTracker(toy)], 0.02)  # empty solution: no change
     assert np.allclose(tau, [0.0, 0.28, 0.28])
     deposit(tau, [sol, sol], 0.02)  # two identical ants stack
     assert np.allclose(tau, [0.0, 0.84, 0.84])
@@ -136,7 +139,7 @@ def test_construct_selects_everything_under_loose_budget(toy):
     state = init_pheromone(toy)
     eta = heuristic_info(toy)
     gen = rng.substream(1, 99)
-    sol = construct_solution(toy, 14, state, eta, AcoParams(), gen)
+    sol = construct_solution(toy, 14, state, eta, AcoParams(), gen).solution()
     assert sol.selected == {1, 2, 3}
 
 
@@ -144,6 +147,7 @@ def test_construct_empty_when_nothing_affordable(toy):
     state = init_pheromone(toy)
     eta = heuristic_info(toy)
     sol = construct_solution(toy, 3, state, eta, AcoParams(), rng.substream(1, 99))
+    sol = sol.solution()
     assert sol.profit == 0 and not sol.selected
 
 
@@ -153,6 +157,7 @@ def test_construct_toy_midrange_budget(toy):
     eta = heuristic_info(toy)
     for s in range(20):
         sol = construct_solution(toy, 7, state, eta, AcoParams(), rng.substream(s, 99))
+        sol = sol.solution()
         assert sol.selected == {2, 3}
         assert sol.cost <= 7
 
@@ -163,7 +168,8 @@ def test_construct_feasible_on_random_instances():
         b = budget(inst, 0.4)
         state = init_pheromone(inst)
         eta = heuristic_info(inst)
-        sol = construct_solution(inst, b, state, eta, AcoParams(), rng.substream(seed, 99))
+        sol = construct_solution(inst, b, state, eta, AcoParams(),
+                                 rng.substream(seed, 99)).solution()
         assert bf.check_solution(inst, sol, b) == []
 
 
@@ -211,6 +217,7 @@ def test_construct_matches_positive_roulette_reference(family, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(CoverTracker, "add", record_add)
                 sol = construct_solution(inst, bud, tau, eta, params, gen)
+            sol = sol.solution()
             assert adds == want
             assert sol.selected == set(want)
             assert gen.bit_generator.state == ref_gen.bit_generator.state
@@ -286,3 +293,32 @@ def test_params_validation():
         AcoParams(iterations=0)
     with pytest.raises(ValueError):
         AcoParams(iterations=-1)
+
+
+def test_the_calls_a_span_tracer_wraps(monkeypatch):
+    # perfbench/spans.py reads each climb's argument named ``start`` and the int
+    # ``.profit`` of it and of the result, and counts every ant's construction
+    # and climb by rebinding them in aco's module namespace
+    inst = generate(builtin_spec("NRP-1"), 1)
+    bud = budget(inst, "0.5")
+    for climb in (improve, sweep_improve):
+        assert "start" in inspect.signature(climb).parameters
+        start = random_feasible(inst, bud, rng.substream(1, 59))
+        out = climb(inst, bud, start, rng.substream(1, 59))
+        assert type(start.profit) is int and type(out.profit) is int
+    calls = {"construct_solution": 0, "sweep_improve": 0}
+
+    def counting(name):
+        call = getattr(aco, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return call(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(aco, name, counting(name))
+    run(inst, bud, AcoParams(ants=3, iterations=2), 1)
+    assert calls == {"construct_solution": 6, "sweep_improve": 6}
+    run(inst, bud, AcoParams(ants=3, iterations=2, use_local_search=False), 1)
+    assert calls == {"construct_solution": 12, "sweep_improve": 6}

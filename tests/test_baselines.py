@@ -31,18 +31,20 @@ FIXED_SA = SaParams(lm_beta=0.5, initial_temp=20.0)
 def test_grasp_construct_greedy_when_rcl_is_one(toy):
     # scores: customer 2 at 8/4, customer 1 at 10/8, customer 3 at 6/6;
     # after taking 2, customer 3 scores 6/2 and customer 1 no longer fits
-    sol = grasp_construct(toy, 10, 1, rng.substream(0, 60))
+    sol = grasp_construct(toy, 10, 1, rng.substream(0, 60)).solution()
     assert sol.selected == {2, 3} and sol.profit == 14
 
 
 def test_grasp_construct_empty_budget(toy):
-    assert grasp_construct(toy, 0, 5, rng.substream(0, 60)).selected == frozenset()
+    sol = grasp_construct(toy, 0, 5, rng.substream(0, 60)).solution()
+    assert sol.selected == frozenset()
 
 
 def test_grasp_construct_wide_rcl_reaches_both_basins(toy):
     outcomes = set()
     for s in range(30):
         sol = grasp_construct(toy, 10, 3, rng.substream(s, 60))
+        sol = sol.solution()
         assert sol.cost <= 10
         outcomes.add(sol.selected)
     assert outcomes == {frozenset({1}), frozenset({2, 3})}
@@ -52,8 +54,8 @@ def test_grasp_construct_rcl_one_ignores_the_stream():
     for seed in range(1, 11):
         inst = bf.random_small_instance(seed)
         b = budget(inst, 0.5)
-        a = grasp_construct(inst, b, 1, rng.substream(1, 61))
-        c = grasp_construct(inst, b, 1, rng.substream(999, 61))
+        a = grasp_construct(inst, b, 1, rng.substream(1, 61)).solution()
+        c = grasp_construct(inst, b, 1, rng.substream(999, 61)).solution()
         assert a == c
 
 
@@ -89,7 +91,7 @@ def test_grasp_construct_matches_full_sort_reference(family, monkeypatch):
             adds.clear()
             with monkeypatch.context() as m:
                 m.setattr(CoverTracker, "add", record_add)
-                sol = grasp_construct(inst, bud, rcl, gen)
+                sol = grasp_construct(inst, bud, rcl, gen).solution()
             assert adds == want
             assert sol.selected == set(want)
             assert gen.bit_generator.state == ref_gen.bit_generator.state
@@ -195,7 +197,7 @@ def _reference_chain(inst, bud, params, seed):
     of cooling steps.
     """
     gen = rng.substream(seed, rng.SA_CHAIN)
-    start = random_feasible(inst, bud, gen)
+    start = random_feasible(inst, bud, gen).solution()
     m = inst.n_customers
     profits = [c.profit for c in inst.customers]
     costs = [r.cost for r in inst.requirements]
@@ -280,6 +282,7 @@ def test_calibrate_temp_matches_scalar_probes():
         m = inst.n_customers
         for ratio in ("0.01", "0.5"):
             start = random_feasible(inst, budget(inst, ratio), rng.substream(seed, 62))
+            start = start.solution()
             selected = [c + 1 in start.selected for c in range(m)]
             gen = rng.substream(seed, rng.SA_PROBE)
             losses = [float(inst.profit_vector[j])

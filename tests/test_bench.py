@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from nrpbench import (AcoParams, BenchConfig, ConfigError, FhcParams,
+from nrpbench import (AcoParams, BenchConfig, ConfigError, CoverTracker, FhcParams,
                       FileSource, GenSource, GraspParams, SaParams, budget,
                       builtin_spec, evaluate, generate, make_instance,
                       parse_bench_config, run, run_bench, solve_one, verify_dump,
                       write_instance_file)
 from nrpbench import bench, cli
-from nrpbench.bench import default_params
+from nrpbench.bench import ALGORITHMS, default_params
 
 TOY_ARGS = ([5, 3, 4, 2], [(1, 2), (3, 4)], [(10, [2]), (8, [3]), (6, [4])])
 
@@ -50,6 +50,22 @@ def test_solve_one_refuses_another_algorithms_params(toy, algo, params, words):
         solve_one(toy, 7, algo, 1, params)
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("seed, words", [
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("1", "seed must be an integer, got '1'"),
+    (-1, "seed must be non-negative, got -1"),
+])
+def test_solve_one_refuses_a_bad_seed(toy, algo, seed, words, monkeypatch):
+    # BenchConfig's seed rule, for every solver: True once ran as seed 1, 1.5
+    # and "1" failed inside numpy, and exact, which draws nothing, took -1
+    monkeypatch.setitem(bench._SOLVERS, algo, bench._SOLVERS[algo][:3] + (
+        lambda *a: pytest.fail("solved with a bad seed"),))
+    with pytest.raises(ConfigError, match=words):
+        solve_one(toy, 7, algo, seed)
+
+
 def test_solve_one_effort_reporting(toy):
     sol, effort = solve_one(toy, 7, "haco", 1, AcoParams(iterations=4, ants=3))
     assert effort == 4 and sol.cost <= 7
@@ -86,6 +102,26 @@ def test_solve_one_evaluates_at_most_once(algo, monkeypatch):
     inst = generate(builtin_spec("NRP-1"), 1)
     sol, _ = solve_one(inst, budget(inst, "0.5"), algo, 1, SMALL_EFFORT[algo])
     assert len(calls) <= 1
+    assert sol == evaluate(inst, sol.selected)
+
+
+@pytest.mark.parametrize("algo, builds", [("haco", 3 * 2), ("aco", 3 * 2), ("fhc", 5),
+                                          ("grasp", 5), ("sa", 2)])
+def test_solve_one_builds_one_tracker_per_construction(algo, builds, monkeypatch):
+    # each ant or restart builds one tracker and hands it to its climb, and
+    # sa builds one for its start and one for its result: a climb that
+    # rebuilt its start from a Solution would build twice per restart
+    calls = []
+    init = CoverTracker.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CoverTracker, "__init__", counted)
+    inst = generate(builtin_spec("NRP-1"), 1)
+    sol, _ = solve_one(inst, budget(inst, "0.5"), algo, 1, SMALL_EFFORT[algo])
+    assert len(calls) == builds
     assert sol == evaluate(inst, sol.selected)
 
 
@@ -361,6 +397,14 @@ def test_run_bench_refuses_fewer_than_one_job(toy_file, tmp_path, jobs):
     ({"jobs": True}, "jobs must be an integer, got True"),
     ({"jobs": 1.5}, "jobs must be an integer, got 1.5"),
     ({"jobs": "2"}, "jobs must be an integer, got '2'"),
+    # generation seeds that are no integers: True once named the source NRP-1-sTrue,
+    # 1.5 named it NRP-1-s1.5 and "1" raised a bare TypeError
+    ({"sources": [GenSource(builtin_spec("NRP-1"), True)]},
+     "NRP-1 has a generation seed that is no integer, True"),
+    ({"sources": [GenSource(builtin_spec("NRP-1"), 1.5)]},
+     "NRP-1 has a generation seed that is no integer, 1.5"),
+    ({"sources": [GenSource(builtin_spec("NRP-1"), "1")]},
+     "NRP-1 has a generation seed that is no integer, '1'"),
 ])
 def test_bench_config_checks_itself(toy_file, tmp_path, change, words):
     with pytest.raises(ConfigError, match=words):

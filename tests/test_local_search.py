@@ -12,15 +12,15 @@ from nrpbench.local_search import (InfeasibleStartError, fhc, improve, random_fe
 
 
 def test_random_feasible_boundaries(toy):
-    assert random_feasible(toy, 0, rng.substream(1, 50)).selected == frozenset()
-    assert random_feasible(toy, 14, rng.substream(1, 50)).selected == {1, 2, 3}
+    assert random_feasible(toy, 0, rng.substream(1, 50)).solution().selected == frozenset()
+    assert random_feasible(toy, 14, rng.substream(1, 50)).solution().selected == {1, 2, 3}
 
 
 def test_random_feasible_excludes_unaffordable(toy):
     # at budget 7 customer 1 (closure cost 8) can never enter; 2 and 3
     # always both fit, so the greedy fill lands on {2, 3} every time
     for s in range(20):
-        sol = random_feasible(toy, 7, rng.substream(s, 50))
+        sol = random_feasible(toy, 7, rng.substream(s, 50)).solution()
         assert sol.selected == {2, 3}
         assert sol.cost <= 7
 
@@ -29,42 +29,42 @@ def test_random_feasible_is_feasible_on_randoms():
     for seed in range(1, 31):
         inst = bf.random_small_instance(seed)
         b = budget(inst, 0.4)
-        sol = random_feasible(inst, b, rng.substream(seed, 51))
+        sol = random_feasible(inst, b, rng.substream(seed, 51)).solution()
         assert bf.check_solution(inst, sol, b) == []
 
 
 def test_improve_rejects_infeasible_start(toy):
-    # the second start states a cost of 0: the climbs must check the
-    # selection's real cost, 14, not trust the stated one
+    # the second start states a cost of 0: its tracker, which the climbs
+    # check, holds the selection's real cost, 14, not the stated one
     for start in (evaluate(toy, [1, 2, 3]), Solution(frozenset({1, 2, 3}), frozenset(), 0, 24)):
         for climb in (improve, sweep_improve):
             with pytest.raises(InfeasibleStartError):
-                climb(toy, 10, start, rng.substream(1, 52))
+                climb(toy, 10, CoverTracker(toy, start.selected), rng.substream(1, 52))
 
 
 def test_improve_two_basins_from_singleton(toy):
     # from {2} at budget 10 there are two climbs: add 3 (reaching the
     # optimum {2,3}) or swap 1 in for 2 (sticking at the local optimum
     # {1}); which one happens depends on the first sampled customer
-    start = evaluate(toy, [2])
-    up = improve(toy, 10, start, rng.substream(0, 99))
+    start = CoverTracker(toy, [2])
+    up = improve(toy, 10, start, rng.substream(0, 99)).solution()
     assert up.selected == {2, 3} and up.profit == 14
-    across = improve(toy, 10, start, rng.substream(1, 99))
+    across = improve(toy, 10, start, rng.substream(1, 99)).solution()
     assert across.selected == {1} and across.profit == 10
 
 
 def test_improve_keeps_local_optimum_fixed(toy):
     # {1} admits no feasible add and no improving swap at budget 10
-    start = evaluate(toy, [1])
+    start = CoverTracker(toy, [1])
     for s in range(5):
-        assert improve(toy, 10, start, rng.substream(s, 99)).selected == {1}
-        assert sweep_improve(toy, 10, start, rng.substream(s, 99)).selected == {1}
+        assert improve(toy, 10, start, rng.substream(s, 99)).solution().selected == {1}
+        assert sweep_improve(toy, 10, start, rng.substream(s, 99)).solution().selected == {1}
 
 
 def test_improve_keeps_global_optimum_fixed(toy):
-    start = evaluate(toy, [2, 3])
+    start = CoverTracker(toy, [2, 3])
     for s in range(5):
-        assert improve(toy, 10, start, rng.substream(s, 99)).selected == {2, 3}
+        assert improve(toy, 10, start, rng.substream(s, 99)).solution().selected == {2, 3}
 
 
 def test_improve_never_lowers_profit():
@@ -73,15 +73,15 @@ def test_improve_never_lowers_profit():
         b = budget(inst, 0.5)
         gen = rng.substream(seed, 53)
         start = random_feasible(inst, b, gen)
-        out = improve(inst, b, start, gen)
+        out = improve(inst, b, start, gen).solution()
         assert out.profit >= start.profit
         assert bf.check_solution(inst, out, b) == []
 
 
 def test_sweep_improve_reaches_certified_local_optimum(toy):
-    start = evaluate(toy, [2])
+    start = CoverTracker(toy, [2])
     for s in range(8):
-        sol = sweep_improve(toy, 10, start, rng.substream(s, 99))
+        sol = sweep_improve(toy, 10, start, rng.substream(s, 99)).solution()
         assert sol.selected in ({2, 3}, {1})
         assert bf.has_improving_move(toy, sol, 10) is None
 
@@ -92,7 +92,7 @@ def test_sweep_improve_certificate_on_randoms():
         b = budget(inst, 0.5)
         gen = rng.substream(seed, 54)
         start = random_feasible(inst, b, gen)
-        out = sweep_improve(inst, b, start, gen)
+        out = sweep_improve(inst, b, start, gen).solution()
         assert out.profit >= start.profit
         assert bf.check_solution(inst, out, b) == []
         assert bf.has_improving_move(inst, out, b) is None
@@ -164,17 +164,17 @@ def test_climbs_match_brute_force_reference(name, ratio, monkeypatch):
     for seed in (1, 2, 3):
         gen, ref_gen = rng.substream(seed, 56), rng.substream(seed, 56)
         start = random_feasible(inst, bud, gen)
-        assert random_feasible(inst, bud, ref_gen) == start
+        assert random_feasible(inst, bud, ref_gen).solution() == start.solution()
         events.clear()
         with monkeypatch.context() as m:
             m.setattr(CoverTracker, "add", record_add)
             m.setattr(CoverTracker, "drop", record_drop)
             out = climb(inst, bud, start, gen)
-        assert events == _reference_sweep(inst, bud, start, ref_gen, draw)
+        assert events == _reference_sweep(inst, bud, start.solution(), ref_gen, draw)
         swapped.append(any(e[0] == "drop" for e in events))
         # same number of draws, the last (moveless) round included
         assert gen.random() == ref_gen.random()
-        assert bf.check_solution(inst, out, bud) == []
+        assert bf.check_solution(inst, out.solution(), bud) == []
     # every sweep swaps; improve, which can stop early, swaps in some climbs
     assert all(swapped) if name == "sweep_improve" else any(swapped)
 
@@ -260,12 +260,13 @@ def test_sweep_matches_unfiltered_pricing(family, ratio, monkeypatch):
     for k in (1, 2):
         gen, ref_gen = rng.substream(1, rng.ANT, 1, k), rng.substream(1, rng.ANT, 1, k)
         start = construct_solution(inst, bud, state, eta, AcoParams(), gen)
-        assert construct_solution(inst, bud, state, eta, AcoParams(), ref_gen) == start
+        ref = construct_solution(inst, bud, state, eta, AcoParams(), ref_gen)
+        assert ref.solution() == start.solution()
         moves.clear()
         out = sweep_improve(inst, bud, start, gen)
-        assert moves == _unfiltered_sweep(inst, bud, start, ref_gen)
+        assert moves == _unfiltered_sweep(inst, bud, start.solution(), ref_gen)
         assert gen.random() == ref_gen.random()
-        assert bf.check_solution(inst, out, bud) == []
+        assert bf.check_solution(inst, out.solution(), bud) == []
         swaps += sum(m is not None and m[1] is not None for m in moves)
     assert swaps
 
@@ -335,6 +336,7 @@ def test_restarts_keep_the_earliest_of_tied_results(solver):
             first = random_feasible(inst, 1, rng.substream(seed, rng.FHC_RESTART, 1))
         else:
             first = grasp_construct(inst, 1, 10, rng.substream(seed, rng.GRASP_RESTART, 1))
+        first = first.solution()
         assert solve_one(inst, 1, solver, seed)[0] == first
         firsts.add(first.selected)
     assert len(firsts) == 3

@@ -12,6 +12,7 @@ from nrpbench import (AcoParams, CoverTracker, InvalidInstanceError, aco, baseli
 from nrpbench.aco import construct_solution, heuristic_info, init_pheromone
 from nrpbench.baselines import grasp_construct
 from nrpbench.fileformat import write_instance
+from nrpbench.local_search import random_feasible
 from nrpbench.model import Customer, Requirement
 
 
@@ -358,7 +359,7 @@ def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypat
             return choose(cover, cand)
 
         sol = model._construct(instance, bud, spy)
-        assert CoverTracker(instance, sol.selected).affordable(bud).size == 0
+        assert CoverTracker(instance, sol.solution().selected).affordable(bud).size == 0
         return sol
 
     monkeypatch.setattr(aco if solver == "aco" else baselines, "_construct", checked)
@@ -375,6 +376,46 @@ def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypat
                     grasp_construct(inst, bud, 10, rng.substream(s, rng.GRASP_RESTART, 1))
     assert len(steps) > 100
     assert branches["remove"] > 0 and branches["filter"] > 0
+
+
+def _assert_same_cover(got, want):
+    for a, b in ((got.selected, want.selected), (got.counts, want.counts),
+                 (got.marginal, want.marginal)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert type(got.cost) is int and (got.cost, got.profit) == (want.cost, want.profit)
+
+
+@pytest.mark.parametrize("family", ["NRP-1", "NRP-2", "NRP-3", "NRP-4", "NRP-5"])
+def test_constructions_hand_on_the_tracker_of_their_selection(family):
+    # the climbs take a construction's tracker as it is, with no rebuild, so
+    # every state it ends in is the one a fresh tracker of its selection has
+    inst = generate(builtin_spec(family), 1)
+    tau, eta = init_pheromone(inst), heuristic_info(inst)
+    for ratio in ("0.3", "0.5", "0.7"):
+        bud = budget(inst, ratio)
+        for cover in (construct_solution(inst, bud, tau, eta, AcoParams(),
+                                         rng.substream(1, rng.ANT, 1, 1)),
+                      grasp_construct(inst, bud, 10, rng.substream(1, rng.GRASP_RESTART, 1)),
+                      random_feasible(inst, bud, rng.substream(1, rng.FHC_RESTART, 1))):
+            assert cover.cost <= bud and cover._freed is None
+            _assert_same_cover(cover, CoverTracker(inst, cover.selected.nonzero()[0] + 1))
+
+
+@pytest.mark.parametrize("family", ["NRP-1", "NRP-3"])
+def test_empty_tracker_is_the_gathered_cover_with_nothing_left(family, toy):
+    # the empty start skips the gathers: it must hold what a tracker built
+    # with one customer holds once that customer is dropped again
+    for inst in (toy, generate(builtin_spec(family), 1)):
+        empty = CoverTracker(inst)
+        assert empty.counts.dtype == np.intp and empty.marginal.dtype == np.float64
+        for c in (1, inst.n_customers // 2, inst.n_customers):
+            gathered = CoverTracker(inst, [c])
+            gathered.drop(c - 1)
+            _assert_same_cover(empty, gathered)
+            flipped = CoverTracker(inst)
+            flipped.add(c - 1)
+            flipped.drop(c - 1)
+            _assert_same_cover(flipped, empty)
 
 
 def test_evaluate_is_pure(toy):

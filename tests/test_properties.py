@@ -10,7 +10,7 @@ from nrpbench import (AcoParams, CoverTracker, FhcParams, GraspParams, SaParams,
                       write_instance)
 from nrpbench.aco import _roulette_select
 from nrpbench.baselines import _top_k
-from nrpbench.local_search import _first_move, random_feasible, sweep_improve
+from nrpbench.local_search import _first_move, improve, random_feasible, sweep_improve
 
 # derandomized: the tier-1 suite gives the same verdict on every run
 FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -113,7 +113,75 @@ def test_cover_tracker_flips_match_a_fresh_tracker(inst, toggles, priced_at):
             assert (cover._owner_sum == fresh._owner_sum).all()
 
 
-SOLVERS = (("haco", AcoParams(iterations=2, ants=2)),
+def _state(cover):
+    """A tracker's arrays, each with a copy of its contents, and its cost."""
+    arrays = (cover.selected, cover.counts, cover.marginal, cover._freed, cover._owner_sum)
+    return [(a, None if a is None else a.copy()) for a in arrays], cover.cost
+
+
+def _assert_state(cover, state):
+    """``cover`` holds the arrays of ``state``, with the same contents, and its cost."""
+    arrays, cost = state
+    held = (cover.selected, cover.counts, cover.marginal, cover._freed, cover._owner_sum)
+    for now, (array, contents) in zip(held, arrays):
+        assert now is array
+        assert contents is None or np.array_equal(now, contents)
+    assert cover.cost == cost
+
+
+def _toggle(cover, t):
+    i = t % cover.selected.size
+    (cover.drop if cover.selected[i] else cover.add)(i)
+
+
+@FAST
+@given(instances(), st.lists(st.integers(0, 6), max_size=12),
+       st.lists(st.integers(0, 6), max_size=12), st.booleans(), st.integers(0, 12))
+def test_cover_tracker_copy_flips_alone(inst, toggles, twin_toggles, priced, twin_priced_at):
+    # copied at any point, priced or not; the copy flips, and prices before
+    # flip number ``twin_priced_at``: the original keeps every array as it
+    # was, and the copy equals a fresh tracker of its own selection
+    if inst.n_customers == 0:
+        return
+    cover = CoverTracker(inst)
+    for t in toggles:
+        _toggle(cover, t)
+    if priced:
+        cover.freed()
+    before = _state(cover)
+    twin = cover.copy()
+    assert twin._freed is None and twin._owner_sum is None
+    for step, t in enumerate(twin_toggles):
+        if step == twin_priced_at:
+            twin.freed()
+        _toggle(twin, t)
+    _assert_state(cover, before)
+    fresh = CoverTracker(inst, (twin.selected.nonzero()[0] + 1).tolist())
+    for got, want in ((twin.selected, fresh.selected), (twin.counts, fresh.counts),
+                      (twin.marginal, fresh.marginal)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (twin.cost, twin.profit) == (fresh.cost, fresh.profit)
+    assert (twin.freed() == fresh.freed()).all()
+    assert (twin._owner_sum == fresh._owner_sum).all()
+
+
+@FAST
+@given(instance_and_budget(), st.integers(0, 2**16), st.booleans())
+def test_climbs_leave_their_start_as_it_was(case, seed, priced):
+    # each climb flips a copy of its start and returns it
+    inst, bud = case
+    start = random_feasible(inst, bud, rng.substream(seed, 57))
+    if priced:
+        start.freed()
+    before = _state(start)
+    for climb in (improve, sweep_improve):
+        out = climb(inst, bud, start, rng.substream(seed, 58))
+        assert out is not start
+        _assert_state(start, before)
+        assert out.profit >= start.profit
+
+
+SOLVERS =(("haco", AcoParams(iterations=2, ants=2)),
            ("aco", AcoParams(iterations=2, ants=2, use_local_search=False)),
            ("fhc", FhcParams(restarts=3)), ("grasp", GraspParams(restarts=3)),
            ("sa", SaParams(lm_beta=5.0)), ("exact", None))
@@ -136,7 +204,7 @@ def test_sweep_improve_leaves_no_move(case, seed):
     inst, bud = case
     gen = rng.substream(seed, 55)
     start = random_feasible(inst, bud, gen)
-    out = sweep_improve(inst, bud, start, gen)
+    out = sweep_improve(inst, bud, start, gen).solution()
     assert out.profit >= start.profit
     assert bf.check_solution(inst, out, bud) == []
     assert bf.has_improving_move(inst, out, bud) is None
