@@ -7,7 +7,9 @@ update steps change in place, and :func:`run` returns the final one as
 random proportional rule: each step draws one uniform r and picks the
 first still affordable, unchosen customer whose running sum of weights
 tau_i^alpha * eta_i^beta reaches r times their total, where eta_i is the
-static profit-to-closure-cost ratio.
+static profit-to-closure-cost ratio.  The sum runs over every customer's
+weight, with 0.0 for each one that is chosen or does not fit, so it is
+the candidates' own running sum and no step gathers their weights.
 After all ants of an iteration finish (optionally each polished to a
 1-swap local optimum by the sweeping climb), the trail evaporates once
 by factor (1 - rho) and every ant deposits gamma * profit(solution) on
@@ -75,20 +77,25 @@ def heuristic_info(instance: Instance) -> np.ndarray:
     return instance.profit_vector / np.maximum(1.0, instance.closure_cost_vector)
 
 
-def _roulette_select(weights: np.ndarray, r: float) -> int:
-    """The random proportional rule: the 0-based position drawn by ``r`` in [0, 1).
+def _roulette_select(weights: np.ndarray, r: float, free: np.ndarray) -> int:
+    """The random proportional rule: the candidate drawn by ``r`` in [0, 1), a 0-based id.
 
-    Entry k is picked with probability ``weights[k] / sum(weights)``: the
-    first entry whose running sum reaches ``r`` times the total.  Zero
-    entries are never chosen; an r of 1 or more gives the last positive
-    entry, and r = 0 the first.  A total that is zero or not finite (a
+    The candidates are the entries ``free`` marks, and every other entry of
+    ``weights`` is 0.0.  Candidate k is picked with probability
+    ``weights[k] / sum(weights)``: the first entry whose running sum
+    reaches ``r`` times the total.  A 0.0 leaves the running sum as it was,
+    so the sum at each candidate is the one over the candidates alone.
+    Zero entries are never chosen: r = 0 gives the first positive entry,
+    and an r of 1 or more the last.  A total that is zero or not finite (a
     trail evaporated to nothing, weights that overflowed) makes every
-    entry weigh the same.
+    candidate weigh the same: r picks candidate min(int(r * n), n - 1) of
+    the n, in id order.
     """
     run = np.add.accumulate(weights)
     total = run.item(-1)
     if not 0 < total < np.inf:
-        return min(int(r * run.size), run.size - 1)
+        cand = free.nonzero()[0]
+        return int(cand[min(int(r * cand.size), cand.size - 1)])
     k = int(run.searchsorted(r * total, side="left"))
     # a zero entry leaves the sum as it was, so it comes first only at k = 0
     if k < run.size and weights.item(k) > 0:
@@ -110,15 +117,16 @@ def construct_solution(
     Candidates at each step are the unchosen customers whose marginal
     cost keeps the running cost within budget; the walk stops when no
     candidate remains.  tau is constant during a single construction,
-    so the rule's weights are computed once up front, and each step
-    takes one running sum over the candidates' weights.
+    so the rule's weights are computed once up front, over all customers;
+    the fill sets the weight of every customer that is chosen or stops
+    fitting to 0.0, and each step takes one running sum over all of them.
     """
     weights = tau ** params.alpha * eta ** params.beta
 
-    def choose(cover, cand):
-        return _roulette_select(weights[cand], gen.random())
+    def choose(cover, free, n):
+        return _roulette_select(weights, gen.random(), free)
 
-    return _construct(instance, budget, choose)
+    return _construct(instance, budget, choose, weights, 0.0)
 
 
 def evaporate(tau: np.ndarray, rho: float) -> None:

@@ -3,7 +3,8 @@
 GRASP alternates a greedy-randomized construction (rank affordable
 customers by profit per marginal cost, pick uniformly from the top of
 the list) with the same first-found hill climb the restart solver uses.
-Each step ranks only the head of the list.  A partition sets a score
+Each step keys every customer, the ones chosen or not fitting at +inf,
+and ranks only the head of the list.  A partition sets a score
 threshold deeper than the list, and later steps keep reusing it: the
 candidates scoring at least that much are sorted, and as long as there
 are enough of them for a full list, their head is the head of a full
@@ -97,36 +98,44 @@ def grasp_construct(
 
     Candidates are scored by profit / max(1, marginal cost) and ranked
     score-descending with ties to the smaller id, so rcl_length = 1 is
-    the deterministic greedy.  Only the head of the ranking is sorted
+    the deterministic greedy.  Each step keys every customer with two
+    in-place ufuncs, (-profit) / max(1, marginal), which is exactly minus
+    the score; the fill sets the negated profit of every customer that is
+    chosen or stops fitting to +inf, so such a customer keys +inf and
+    ranks after every candidate.  Only the head of the ranking is sorted
     (:func:`_top_k`), from a threshold carried from step to step; the
     list is the one a full sort gives.
     """
-    profits = instance.profit_vector
+    negp = np.negative(instance.profit_vector, dtype=np.float64)
+    key = np.empty_like(negp)
     thr = -np.inf
 
-    def choose(cover, cand):
+    def choose(cover, free, n):
         nonlocal thr
-        key = profits[cand] / np.maximum(1.0, cover.marginal[cand])
-        rcl, thr = _top_k(np.negative(key, out=key), rcl_length, thr)
+        np.maximum(cover.marginal, 1.0, out=key)
+        np.divide(negp, key, out=key)
+        rcl, thr = _top_k(key, rcl_length, thr, n)
         return int(rcl[int(gen.integers(0, rcl.size))])
 
-    return _construct(instance, budget, choose)
+    return _construct(instance, budget, choose, negp, np.inf)
 
 
-def _top_k(key: np.ndarray, k: int, thr: float) -> tuple[np.ndarray, float]:
+def _top_k(key: np.ndarray, k: int, thr: float, n: int) -> tuple[np.ndarray, float]:
     """Positions of the ``k`` smallest keys, ascending, ties to the smaller
     position, and the threshold to pass to the next call.
 
-    Equal to ``np.lexsort((positions, key))[:k]`` whatever ``thr`` is: when
-    at least ``k`` keys (or all of them) are at or below ``thr``, so is the
-    k-th smallest, so every key of the head is kept, ties included, and a
-    stable sort of the kept ones gives the head.  Otherwise a partition
-    sets ``thr`` to the (``_RCL_DEPTH * k``)-th smallest key, or the
-    largest on a shorter vector, and keeps again.
+    ``n`` keys are finite, the candidates'; the others are +inf and are
+    never returned.  Equal to ``np.lexsort((positions, key))[:min(k, n)]``
+    whatever ``thr`` is, as long as it is finite or -inf: when at least
+    ``min(k, n)`` keys are at or below ``thr``, so is the k-th smallest, so
+    every key of the head is kept, ties included, and a stable sort of the
+    kept ones gives the head.  Otherwise a partition sets ``thr`` to the
+    (``_RCL_DEPTH * k``)-th smallest key, or the largest finite one when
+    fewer are finite, and keeps again.
     """
     kept = (key <= thr).nonzero()[0]
-    if kept.size < min(k, key.size):
-        depth = min(_RCL_DEPTH * k, key.size)
+    if kept.size < min(k, n):
+        depth = min(_RCL_DEPTH * k, n)
         thr = np.partition(key, depth - 1)[depth - 1]
         kept = (key <= thr).nonzero()[0]
     return kept[key[kept].argsort(kind="stable")[:k]], thr

@@ -35,7 +35,12 @@ construction's cover passes to its climb with no rebuild; only the
 result a solver returns becomes a :class:`Solution`, which
 :meth:`CoverTracker.solution` reads from the tracker's state.  An empty
 tracker, where every construction starts, needs no gather: its counts
-are zeros and its marginals the closure costs.  :func:`evaluate` works a
+are zeros and its marginals the closure costs.  The ant and GRASP
+constructions are one greedy fill, :func:`_construct`: its candidates are
+a mask over all customers and their count, and each rule reads one
+per-customer array of its own, in which the fill sets every customer that
+is chosen or stops fitting to a dead value, so no step gathers, shifts or
+refilters a candidate list.  :func:`evaluate` works a
 selection out from scratch and is the independent check of the tracker.
 Both read only these lists: no solver path builds a dense customer x
 requirement array or calls BLAS.
@@ -490,8 +495,11 @@ class CoverTracker:
             self._owner_sum = np.bincount(req[held], weights=row[held],
                                           minlength=inst.n_requirements).astype(np.intp)
             single = self.counts == 1
-            self._freed = np.bincount(self._owner_sum[single], weights=self._cost_f[single],
-                                      minlength=inst.n_customers + 1)
+            # float64 like ``marginal`` also when no requirement is singly covered,
+            # where bincount gives int64
+            freed = np.bincount(self._owner_sum[single], weights=self._cost_f[single],
+                                minlength=inst.n_customers + 1)
+            self._freed = freed.astype(np.float64, copy=False)
             self._owner_v, self._freed_v = memoryview(self._owner_sum), memoryview(self._freed)
         return self._freed
 
@@ -523,36 +531,44 @@ class CoverTracker:
                         self.cost, int(self._inst.profit_vector[idx].sum()))
 
 
-def _construct(instance: Instance, budget: int, choose) -> CoverTracker:
-    """Greedy fill: add ``cand[choose(cover, cand)]`` until no candidate is
-    left; returns the tracker, which a climb can take on as it is.
+def _construct(instance: Instance, budget: int, choose, values: np.ndarray,
+               dead: float) -> CoverTracker:
+    """Greedy fill: add customer ``choose(cover, free, n)`` until no
+    candidate is left; returns the tracker, which a climb can take on as it is.
 
-    ``cand`` holds the 0-based ids :meth:`CoverTracker.affordable` would
-    return, and ``choose`` returns a position in it.  The list is worked
-    out once and then only shrinks: ``cost + marginal[j]`` is the union
-    cost with j added, which no add lowers, so a customer that stops
+    The candidates are a mask ``free`` over all customers, the ones
+    :meth:`CoverTracker.affordable` would return, and ``n`` counts them;
+    ``choose`` returns a 0-based customer id.  ``values`` is the rule's own
+    per-customer array, which ``choose`` reads whole: every customer that
+    is picked or stops fitting has its entry set to ``dead``, a value the
+    rule never picks, so no step gathers the candidates.  The mask is
+    worked out once and then only shrinks: ``cost + marginal[j]`` is the
+    union cost with j added, which no add lowers, so a customer that stops
     fitting never fits again within one fill.
 
     Most steps drop only the chosen customer.  ``most``, the largest
-    marginal in the list when it was last filtered, stays an upper bound
-    on every entry's marginal, since no add raises one; while it fits in
-    the slack ``budget - cost``, every other entry still fits and the step
-    just removes position k.  Otherwise the list is filtered and ``most``
-    worked out again from the entries kept.
+    candidate marginal when the mask was last filtered, stays an upper
+    bound on every candidate's marginal, since no add raises one; while it
+    fits in the slack ``budget - cost``, every other candidate still fits.
+    Otherwise the mask is filtered and ``most`` worked out again from the
+    candidates kept.
     """
     cover = CoverTracker(instance)
-    cand = cover.affordable(budget)
-    most = cover.marginal[cand].max(initial=0.0)
-    while cand.size:
-        k = choose(cover, cand)
-        cover.add(int(cand[k]))
+    marginal = cover.marginal
+    free = marginal <= budget  # the cover is empty: j fits when its marginal does
+    values[~free] = dead
+    n = int(np.count_nonzero(free))
+    most = marginal.max(where=free, initial=0.0)
+    while n:
+        j = choose(cover, free, n)
+        cover.add(j)
+        free[j] = False
+        values[j] = dead
+        n -= 1
         slack = budget - cover.cost
-        if most <= slack:
-            cand[k:-1] = cand[k + 1:]
-            cand = cand[:-1]
-        else:
-            keep = cover.marginal[cand] <= slack
-            keep[k] = False
-            cand = cand[keep]
-            most = cover.marginal[cand].max(initial=0.0)
+        if most > slack:
+            free &= marginal <= slack
+            values[~free] = dead
+            n = int(np.count_nonzero(free))
+            most = marginal.max(where=free, initial=0.0)
     return cover

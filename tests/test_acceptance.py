@@ -91,8 +91,9 @@ def test_criterion_3_climb_results_admit_no_move(criterion):
 
 def test_criterion_4_selection_probabilities_normalize(criterion):
     # the ants' draw puts candidate i's cut point at the exact normalized
-    # cumulative probability u_i: a draw just below it picks i or earlier,
-    # one just above it picks a later candidate
+    # cumulative probability u_i, candidates in id order among customers whose
+    # weights are 0.0: a draw just below it picks i or an earlier candidate,
+    # one just above it a later one
     gen = rng.substream(0, 95)
     misplaced = checks = 0
     for _ in range(10_000):
@@ -100,15 +101,17 @@ def test_criterion_4_selection_probabilities_normalize(criterion):
         tau = gen.random(m) + 1e-12
         eta = gen.uniform(0.1, 5.0, size=m)
         k = int(gen.integers(1, m + 1))
-        cands = gen.choice(m, size=k, replace=False)
+        cands = np.sort(gen.choice(m, size=k, replace=False))
         alpha, beta = gen.uniform(0.0, 3.0, size=2)
-        w = (tau ** float(alpha) * eta ** float(beta))[cands]
-        ws = w.tolist()
+        free = np.zeros(m, dtype=bool)
+        free[cands] = True
+        w = np.where(free, tau ** float(alpha) * eta ** float(beta), 0.0)
+        ws = w[cands].tolist()
         total = math.fsum(ws)
         for i in range(k - 1):
             u = math.fsum(ws[:i + 1]) / total
-            misplaced += _roulette_select(w, u - 1e-9) > i
-            misplaced += _roulette_select(w, u + 1e-9) <= i
+            misplaced += _roulette_select(w, u - 1e-9, free) > cands[i]
+            misplaced += _roulette_select(w, u + 1e-9, free) <= cands[i]
             checks += 2
     criterion(4, misplaced == 0,
               f"{misplaced} of {checks} draws 1e-9 from a normalized cumulative "

@@ -54,8 +54,12 @@ def test_colony_solves_degenerate_instances(algo):
     assert none.selected == frozenset() and none.profit == 0
 
 
-def _picks(weights, rs):
-    return [_roulette_select(np.asarray(weights, dtype=np.float64), r) for r in rs]
+def _picks(weights, rs, free=None):
+    """The customers drawn by ``rs`` among ``free`` (every entry by default),
+    the others' weights set to 0.0 as the fill sets them."""
+    weights = np.asarray(weights, dtype=np.float64)
+    free = np.ones(weights.size, dtype=bool) if free is None else np.asarray(free)
+    return [_roulette_select(np.where(free, weights, 0.0), r, free) for r in rs]
 
 
 def test_selection_probabilities_symmetric():
@@ -72,9 +76,9 @@ def test_selection_probabilities_ratio():
 
 def test_selection_probabilities_restrict_to_candidates():
     weights = np.array([0.9, 0.5, 0.2, 0.4])
-    # the caller gathers the candidates' weights, in the candidates' order
-    assert _picks(weights[np.array([2])], [0.0, 0.5, 0.999]) == [0, 0, 0]
-    assert _picks(weights[np.array([3, 1])], [0.44, 0.45]) == [0, 1]  # cut at 4/9
+    # the other customers weigh 0.0; the draw returns a customer, candidates in id order
+    assert _picks(weights, [0.0, 0.5, 0.999], [False, False, True, False]) == [2, 2, 2]
+    assert _picks(weights, [0.55, 0.56], [False, True, False, True]) == [1, 3]  # cut at 5/9
 
 
 def test_selection_probabilities_uniform_when_exponents_zero():
@@ -87,10 +91,14 @@ def test_selection_probabilities_uniform_when_exponents_zero():
 def test_selection_probabilities_uniform_when_the_total_is_zero_or_not_finite(bad):
     # zero: a trail evaporated to nothing; inf and NaN: weights that overflowed
     weights = np.array([bad, 0.0, 0.0, 1.0, 3.0])
-    assert _picks(weights[np.array([0, 1, 2])], [0.0, 0.32, 0.34, 0.65, 0.67, 0.99, 1.0]) == \
+    first = [True, True, True, False, False]
+    assert _picks(weights, [0.0, 0.32, 0.34, 0.65, 0.67, 0.99, 1.0], first) == \
         [0, 0, 1, 1, 2, 2, 2]
     # only the candidates' own total decides
-    assert _picks(weights[np.array([4, 3])], [0.74, 0.76]) == [0, 1]
+    assert _picks(weights, [0.24, 0.26], [False, False, False, True, True]) == [3, 4]
+    # every candidate weighs the same, in id order, whatever lies between them
+    assert _picks([7.0, bad, 0.0, 0.0, 5.0], [0.0, 0.49, 0.51, 0.99],
+                  [False, True, False, True, False]) == [1, 1, 3, 3]
 
 
 def test_roulette_select():
@@ -197,9 +205,13 @@ def test_construct_matches_positive_roulette_reference(family, monkeypatch):
     inst = generate(builtin_spec(family), 1)
     params = AcoParams()
     eta = heuristic_info(inst)
-    # a fresh trail, and one evaporated to zero on every seventh customer
+    # a fresh trail, one evaporated to zero on every seventh customer, and two
+    # whose weights are all 0.0, evaporated to nothing or underflowed, which
+    # draw uniformly among the candidates
     fresh, patchy = init_pheromone(inst), init_pheromone(inst)
     patchy[::7] = 0.0
+    zero, tiny = np.zeros_like(fresh), init_pheromone(inst) * 1e-300
+    assert not (tiny ** params.alpha * eta ** params.beta).any() and tiny.all()
     adds = []
     add = CoverTracker.add
 
@@ -209,7 +221,7 @@ def test_construct_matches_positive_roulette_reference(family, monkeypatch):
 
     for ratio in ("0.3", "0.5", "0.7"):
         bud = budget(inst, ratio)
-        for tau in (fresh, patchy):
+        for tau in (fresh, patchy, zero, tiny):
             gen, ref_gen = (rng.substream(7, rng.ANT, 1, 1) for _ in range(2))
             weights = tau ** params.alpha * eta ** params.beta
             want = _reference_ant(inst, bud, weights, ref_gen)

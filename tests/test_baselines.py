@@ -73,7 +73,7 @@ def _reference_grasp(inst, bud, rcl_length, gen):
     return moves
 
 
-@pytest.mark.parametrize("family", ["NRP-2", "NRP-4"])
+@pytest.mark.parametrize("family", ["NRP-1", "NRP-2", "NRP-3", "NRP-4", "NRP-5"])
 def test_grasp_construct_matches_full_sort_reference(family, monkeypatch):
     inst = generate(builtin_spec(family), 1)
     adds = []

@@ -334,31 +334,40 @@ def test_one_customer_id_rule(toy, bad, words):
 
 @pytest.mark.parametrize("solver", ["aco", "grasp"])
 def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypatch):
-    # _construct shrinks its candidate list after each add instead of asking
+    # _construct shrinks its candidate mask after each add instead of asking
     # the tracker again, which is exact only because no add lowers cost + marginal.
-    # A step only removes the chosen entry, keeping the list's memory, while the
-    # largest marginal at the last filter fits the slack; otherwise it filters
-    # into a new array.
+    # A step only clears the chosen customer while the largest marginal at the
+    # last filter fits the slack; otherwise it filters the whole mask, and then
+    # writes the dead value into the rule's array through a boolean mask
     steps = []
     branches = {"remove": 0, "filter": 0}
 
-    def checked(instance, bud, choose):
-        last = {}
+    def checked(instance, bud, choose, values, dead):
+        last, masked = {}, []
+        given = values.copy()
 
-        def spy(cover, cand):
-            assert np.array_equal(cand, cover.affordable(bud))
-            filtered = True
+        class Watched(np.ndarray):
+            def __setitem__(self, at, value):
+                masked.append(isinstance(at, np.ndarray) and at.dtype == bool)
+                super().__setitem__(at, value)
+
+        def spy(cover, free, n):
+            want = np.zeros(instance.n_customers, dtype=bool)
+            want[cover.affordable(bud)] = True
+            assert np.array_equal(free, want) and n == want.sum()
+            # the rule reads its own entries for the candidates, dead ones elsewhere
+            assert np.array_equal(values[free], given[free]) and (values[~free] == dead).all()
+            filtered = any(masked)
+            masked.clear()
             if last:
-                filtered = not np.shares_memory(cand, last["cand"])
                 assert filtered == (last["most"] > bud - cover.cost)
                 branches["filter" if filtered else "remove"] += 1
             if filtered:
-                last["most"] = cover.marginal[cand].max()
-            last["cand"] = cand
-            steps.append(cand.size)
-            return choose(cover, cand)
+                last["most"] = cover.marginal[free].max()
+            steps.append(n)
+            return choose(cover, free, n)
 
-        sol = model._construct(instance, bud, spy)
+        sol = model._construct(instance, bud, spy, values.view(Watched), dead)
         assert CoverTracker(instance, sol.solution().selected).affordable(bud).size == 0
         return sol
 
@@ -376,6 +385,19 @@ def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypat
                     grasp_construct(inst, bud, 10, rng.substream(s, rng.GRASP_RESTART, 1))
     assert len(steps) > 100
     assert branches["remove"] > 0 and branches["filter"] > 0
+
+
+def test_freed_is_float64_when_no_requirement_is_singly_covered():
+    # both customers need requirement 1, so no requirement has one owner and
+    # bincount, given no entries, would return int64 zeros
+    inst = make_instance([1, 2], [], [(5, [1]), (3, [1])])
+    probe = CoverTracker(inst, [1, 2]).freed()
+    assert probe.dtype == np.float64 and probe.tolist() == [0.0, 0.0, 0.0]
+    flipped = CoverTracker(inst)
+    flipped.freed()  # priced while empty, then kept by the flips
+    flipped.add(0)
+    flipped.add(1)
+    assert flipped.freed().dtype == np.float64 and np.array_equal(flipped.freed(), probe)
 
 
 def _assert_same_cover(got, want):

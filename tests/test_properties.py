@@ -341,22 +341,25 @@ def test_write_read_round_trip(inst):
 
 @st.composite
 def candidate_steps(draw):
-    """A list length and the GRASP keys of a candidate list over a run of steps:
-    between steps entries leave and the keys left fall or rise, with frequent ties."""
+    """A list length and the GRASP keys of all customers over a run of steps:
+    between steps candidates leave, keying +inf from then on as the fill has
+    them, and the keys left fall or rise, with frequent ties."""
     rcl = draw(st.integers(1, 12))
     size = draw(st.integers(1, 3 * rcl + 6))
     ratio = st.tuples(st.sampled_from([1, 2, 3, 6]), st.sampled_from([0, 1, 2, 3, 4]))
     pairs = [draw(ratio)] * size if draw(st.booleans()) else draw(
         st.lists(ratio, min_size=size, max_size=size))
+    live = list(range(size))
     steps = []
     for _ in range(draw(st.integers(1, 8))):
-        steps.append(np.array([-(w / max(1.0, m)) for w, m in pairs]))
-        leave = draw(st.sets(st.integers(0, len(pairs) - 1), max_size=len(pairs) - 1))
+        key = np.full(size, np.inf)
+        key[live] = [-(w / max(1.0, m)) for w, m in (pairs[i] for i in live)]
+        steps.append(key)
+        leave = draw(st.sets(st.sampled_from(live), max_size=len(live) - 1))
         # a marginal that falls raises the score, so the key falls; one that rises lifts it
-        moves = draw(st.lists(st.sampled_from([0, 0, -1, 1, 2]), min_size=len(pairs),
-                              max_size=len(pairs)))
-        pairs = [(w, max(0, m + d)) for i, ((w, m), d) in enumerate(zip(pairs, moves))
-                 if i not in leave]
+        moves = draw(st.lists(st.sampled_from([0, 0, -1, 1, 2]), min_size=size, max_size=size))
+        pairs = [(w, max(0, m + d)) for (w, m), d in zip(pairs, moves)]
+        live = [i for i in live if i not in leave]
     return rcl, steps
 
 
@@ -367,8 +370,9 @@ def test_top_k_is_the_head_of_a_full_sort(case):
     rcl, steps = case
     thr = -np.inf
     for key in steps:
-        top, thr = _top_k(key, rcl, thr)
-        assert top.tolist() == np.lexsort((np.arange(key.size), key))[:rcl].tolist()
+        n = int(np.isfinite(key).sum())
+        top, thr = _top_k(key, rcl, thr, n)
+        assert top.tolist() == np.lexsort((np.arange(key.size), key))[:min(rcl, n)].tolist()
 
 
 def _positive_roulette(p, r):
@@ -395,16 +399,34 @@ def weight_vectors(draw):
     return w
 
 
+def _spread(p, gaps):
+    """``p`` as the candidates' weights among all customers: ``gaps[i]`` (cycled)
+    dead 0.0 entries before candidate i, and ``gaps[0]`` after the last;
+    returns the weights, the candidate mask and the candidates' ids."""
+    free = []
+    for i in range(p.size):
+        free += [False] * (gaps[i % len(gaps)] if gaps else 0) + [True]
+    free = np.array(free + [False] * (gaps[0] if gaps else 0))
+    weights = np.zeros(free.size)
+    weights[free] = p
+    return weights, free, free.nonzero()[0]
+
+
 @FAST
-@given(weight_vectors(), st.lists(st.floats(0.0, 1.0), max_size=5))
-def test_roulette_matches_the_positive_filter(p, uniforms):
-    if not (p > 0).any():  # no weight at all: every entry weighs the same
+@given(weight_vectors(), st.lists(st.floats(0.0, 1.0), max_size=5),
+       st.lists(st.integers(0, 2), max_size=4))
+def test_roulette_matches_the_positive_filter(p, uniforms, gaps):
+    # the draw over all customers picks the candidate the running sum over
+    # the candidates alone picks
+    weights, free, cand = _spread(p, gaps)
+    if not (p > 0).any():  # no weight at all: every candidate weighs the same
         for u in (0.0, 0.5, 0.999, 1.0):
-            assert _roulette_select(p, u) == min(int(u * p.size), p.size - 1)
+            assert _roulette_select(weights, u, free) == cand[min(int(u * p.size), p.size - 1)]
         return
     cums = p.cumsum()
     cuts = (cums / cums[-1]).tolist()
     us = [0.0, 1.0, 1.0 + 1e-12, *cuts, *uniforms,
           *(np.nextafter(c, 0.0) for c in cuts), *(np.nextafter(c, 2.0) for c in cuts)]
     for u in us:
-        assert _roulette_select(p, u) == _positive_roulette(p, u), (p.tolist(), u)
+        assert _roulette_select(weights, u, free) == cand[_positive_roulette(p, u)], \
+            (p.tolist(), gaps, u)
