@@ -497,9 +497,8 @@ class CoverTracker:
             single = self.counts == 1
             # float64 like ``marginal`` also when no requirement is singly covered,
             # where bincount gives int64
-            freed = np.bincount(self._owner_sum[single], weights=self._cost_f[single],
-                                minlength=inst.n_customers + 1)
-            self._freed = freed.astype(np.float64, copy=False)
+            self._freed = np.bincount(self._owner_sum[single], weights=self._cost_f[single],
+                                      minlength=inst.n_customers + 1).astype(np.float64)
             self._owner_v, self._freed_v = memoryview(self._owner_sum), memoryview(self._freed)
         return self._freed
 
