@@ -9,7 +9,10 @@ first still affordable, unchosen customer whose running sum of weights
 tau_i^alpha * eta_i^beta reaches r times their total, where eta_i is the
 static profit-to-closure-cost ratio.  The sum runs over every customer's
 weight, with 0.0 for each one that is chosen or does not fit, so it is
-the candidates' own running sum and no step gathers their weights.
+the candidates' own running sum and no step gathers their weights.  A
+construction keeps one buffer for that sum, refills it in place every
+step, and finds r times the total in it with ``bisect`` on a memoryview,
+so a step makes no new array and one numpy call for the sum.
 After all ants of an iteration finish (optionally each polished to a
 1-swap local optimum by the sweeping climb), the trail evaporates once
 by factor (1 - rho) and every ant deposits gamma * profit(solution) on
@@ -23,7 +26,9 @@ without it, plain ACO.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -77,8 +82,9 @@ def heuristic_info(instance: Instance) -> np.ndarray:
     return instance.profit_vector / np.maximum(1.0, instance.closure_cost_vector)
 
 
-def _roulette_select(weights: np.ndarray, r: float, free: np.ndarray) -> int:
-    """The random proportional rule: the candidate drawn by ``r`` in [0, 1), a 0-based id.
+def _roulette(weights: np.ndarray):
+    """The random proportional rule over ``weights``: returns ``pick(r, free)``,
+    the candidate drawn by ``r`` in [0, 1), a 0-based id.
 
     The candidates are the entries ``free`` marks, and every other entry of
     ``weights`` is 0.0.  Candidate k is picked with probability
@@ -90,18 +96,30 @@ def _roulette_select(weights: np.ndarray, r: float, free: np.ndarray) -> int:
     trail evaporated to nothing, weights that overflowed) makes every
     candidate weigh the same: r picks candidate min(int(r * n), n - 1) of
     the n, in id order.
+
+    ``weights`` may change in place between picks; each pick refills one
+    running-sum buffer from it.  The weights are never negative, so the
+    sums never decrease, and ``bisect_left`` on them is
+    ``searchsorted(side="left")``; it and the scalar reads go through
+    memoryviews, which skips a numpy call per read.
     """
-    run = np.add.accumulate(weights)
-    total = run.item(-1)
-    if not 0 < total < np.inf:
-        cand = free.nonzero()[0]
-        return int(cand[min(int(r * cand.size), cand.size - 1)])
-    k = int(run.searchsorted(r * total, side="left"))
-    # a zero entry leaves the sum as it was, so it comes first only at k = 0
-    if k < run.size and weights.item(k) > 0:
-        return k
-    positive = (weights > 0).nonzero()[0]
-    return int(positive[0] if k < run.size else positive[-1])
+    run = np.empty_like(weights)
+    sums, w, size = memoryview(run), memoryview(weights), weights.size
+
+    def pick(r: float, free: np.ndarray) -> int:
+        np.add.accumulate(weights, out=run)
+        total = sums[-1]
+        if not 0 < total < inf:
+            cand = free.nonzero()[0]
+            return int(cand[min(int(r * cand.size), cand.size - 1)])
+        k = bisect_left(sums, r * total)
+        # a zero entry leaves the sum as it was, so it comes first only at k = 0
+        if k < size and w[k] > 0:
+            return k
+        positive = (weights > 0).nonzero()[0]
+        return int(positive[0] if k < size else positive[-1])
+
+    return pick
 
 
 def construct_solution(
@@ -119,12 +137,14 @@ def construct_solution(
     candidate remains.  tau is constant during a single construction,
     so the rule's weights are computed once up front, over all customers;
     the fill sets the weight of every customer that is chosen or stops
-    fitting to 0.0, and each step takes one running sum over all of them.
+    fitting to 0.0, and each step refills the construction's one
+    running-sum buffer over all of them (:func:`_roulette`).
     """
     weights = tau ** params.alpha * eta ** params.beta
+    pick = _roulette(weights)
 
     def choose(cover, free, n):
-        return _roulette_select(weights, gen.random(), free)
+        return pick(gen.random(), free)
 
     return _construct(instance, budget, choose, weights, 0.0)
 

@@ -24,14 +24,16 @@ solution.  Swapping j in for l costs at least cost + marginal(j) - freed(l),
 so j needs a selected l of lower profit that frees at least that excess
 over budget.  The tracker keeps freed flip by flip, and the profits are
 ranked once when the instance is built, so one running maximum of freed
-along the profit order and one binary search into it give, for every
-customer of the order at once, the least profitable l that frees enough.
-That l is j's best partner unless j itself needs some of what only l
-covers, which is rare; only then are the other partners of lower profit
-checked, in one vectorised pass.  The pass walks the closures of the
-customers it tries, in order, and stops at the first with a move.  So a
-pass costs a few numpy calls over the customers plus, most often, one
-closure walk, and nothing over every requirement.
+along the profit order, read at each customer's count of lower profits,
+tells for every customer of the order at once whether some l of lower
+profit frees enough.  For a customer the pass tries, a binary search into
+that maximum finds the least profitable such l.  That l is j's best
+partner unless j itself needs some of what only l covers, which is rare;
+only then are the other partners of lower profit checked, in one
+vectorised pass.  The pass walks the closures of the customers it tries,
+in order, and stops at the first with a move.  So a pass costs a few
+numpy calls over the customers plus, most often, one binary search and
+one closure walk, and nothing over every requirement.
 
 The restart solver and GRASP share one loop that keeps the best of
 independent `improve` climbs, from random feasible selections or
@@ -96,11 +98,17 @@ def sweep_improve(instance: Instance, budget: int, start: CoverTracker,
     The returned selection admits no feasible addition and no
     profit-improving 1-swap at all.
 
-    Every pass draws one ``gen.permutation`` of the unselected customers,
-    the last pass (which finds no move) included; :func:`_first_move`
-    walks only the closures of the customers it tries.
+    Every pass shuffles the unselected customers with one ``gen.shuffle``,
+    in place on the fresh array of their ids (the order and draws of
+    ``gen.permutation``, without its copy), the last pass (which finds no
+    move) included; :func:`_first_move` walks only the closures of the
+    customers it tries.
     """
-    return _climb(instance, budget, start, gen.permutation)
+    def shuffled(out_idx):
+        gen.shuffle(out_idx)  # a fresh array each pass: the draws of gen.permutation
+        return out_idx
+
+    return _climb(instance, budget, start, shuffled)
 
 
 def _climb(instance: Instance, budget: int, start: CoverTracker, draw) -> CoverTracker:
@@ -127,30 +135,35 @@ def _first_move(instance: Instance, cover: CoverTracker, budget: int,
                 order: np.ndarray) -> tuple[int, int | None] | None:
     """(incoming, outgoing or None for an add) of the first movable customer in ``order``.
 
-    Row j's excess need(j) = cost + marginal(j) - budget is worked out once
-    for the whole order: j fits when it is at most 0.  Swapping j in for l
-    fits when freed(l) - kept(j, l) >= need(j) and raises profit when
+    Row j's excess need(j) = marginal(j) - (budget - cost) is worked out
+    once for the whole order, exactly, since every value is an integer
+    below 2**53: j fits when it is at most 0.  Swapping j in for l fits
+    when freed(l) - kept(j, l) >= need(j) and raises profit when
     p(l) < p(j); the best swap drops the least profitable such l, ties to
     the smaller id, which is the first one along the instance's profit
-    order.  kept >= 0, so no l ahead of position ``first``, where the
-    running maximum of freed along that order first reaches need(j), can
-    fit, and a row whose ``first`` lies beyond its ``_lower_profits`` has
-    no move.  The customer at ``first`` frees at least need(j), so unless
-    j re-covers some of it, it is the move; otherwise the later positions
-    of lower profit are checked at once with j's kept costs patched in.
-    Unselected customers free 0 and the empty prefix reads the 0 of
-    freed's slot n, so neither is ever a partner: a row before the first
-    add exceeds the budget by at least 1.
+    order.  ``most``, the running maximum of freed along that order, never
+    decreases; kept >= 0, so no l ahead of position ``at``, where ``most``
+    first reaches need(j), can fit.  The l of lower profit than j are the
+    positions 1.._lower_profits[j], so j has a partner only when ``at``
+    lies among them, that is when ``most`` at the last of them reaches
+    need(j): one gather tests every row, and ``at`` is searched for only
+    in the rows the loop walks.  The customer at ``at`` frees at least
+    need(j), so unless j re-covers some of it, it is the move; otherwise
+    the later positions of lower profit are checked at once with j's kept
+    costs patched in.  Unselected customers free 0 and the empty prefix
+    reads the 0 of freed's slot n, so neither is ever a partner: a row
+    before the first add exceeds the budget by at least 1.
     """
-    need = cover.cost + cover.marginal[order] - budget
+    need = cover.marginal[order]
+    need -= budget - cover.cost
     add_ok = (need <= 0).nonzero()[0]
     end = int(add_ok[0]) if add_ok.size else order.size
     if end:
         by_profit, freed = instance._by_profit, cover.freed()
-        first = np.maximum.accumulate(freed[by_profit]).searchsorted(need[:end])
+        most = np.maximum.accumulate(freed[by_profit])
         lower = instance._lower_profits[order[:end]]
-        for row in (first <= lower).nonzero()[0].tolist():
-            j, at = int(order[row]), int(first[row])
+        for row in (most[lower] >= need[:end]).nonzero()[0].tolist():
+            j, at = int(order[row]), int(most.searchsorted(need[row]))
             kept = cover.kept(j)
             best = int(by_profit[at])
             if freed[best] - kept.get(best, 0) >= need[row]:

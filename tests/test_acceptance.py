@@ -20,7 +20,7 @@ import bruteforce as bf
 from conftest import subprocess_env
 from nrpbench import (AcoParams, FhcParams, GraspParams, InvalidInstanceError, SaParams, budget,
                       builtin_spec, generate, rng, run, solve_one)
-from nrpbench.aco import _roulette_select, init_pheromone
+from nrpbench.aco import _roulette, init_pheromone
 from nrpbench.local_search import fhc
 
 RATIOS = ("0.3", "0.5", "0.7")
@@ -108,10 +108,11 @@ def test_criterion_4_selection_probabilities_normalize(criterion):
         w = np.where(free, tau ** float(alpha) * eta ** float(beta), 0.0)
         ws = w[cands].tolist()
         total = math.fsum(ws)
+        pick = _roulette(w)
         for i in range(k - 1):
             u = math.fsum(ws[:i + 1]) / total
-            misplaced += _roulette_select(w, u - 1e-9, free) > cands[i]
-            misplaced += _roulette_select(w, u + 1e-9, free) <= cands[i]
+            misplaced += pick(u - 1e-9, free) > cands[i]
+            misplaced += pick(u + 1e-9, free) <= cands[i]
             checks += 2
     criterion(4, misplaced == 0,
               f"{misplaced} of {checks} draws 1e-9 from a normalized cumulative "

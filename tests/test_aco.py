@@ -7,7 +7,7 @@ import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, budget, builtin_spec, generate, make_instance,
                       rng, solve_one)
 from nrpbench import aco
-from nrpbench.aco import (_roulette_select, construct_solution, deposit, evaporate,
+from nrpbench.aco import (_roulette, construct_solution, deposit, evaporate,
                           heuristic_info, init_pheromone, run)
 from nrpbench.local_search import improve, random_feasible, sweep_improve
 
@@ -59,7 +59,8 @@ def _picks(weights, rs, free=None):
     the others' weights set to 0.0 as the fill sets them."""
     weights = np.asarray(weights, dtype=np.float64)
     free = np.ones(weights.size, dtype=bool) if free is None else np.asarray(free)
-    return [_roulette_select(np.where(free, weights, 0.0), r, free) for r in rs]
+    pick = _roulette(np.where(free, weights, 0.0))
+    return [pick(r, free) for r in rs]
 
 
 def test_selection_probabilities_symmetric():
@@ -111,6 +112,37 @@ def test_roulette_select():
     assert _picks([0.0, 0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.7, 1.0, 1.5]) == [1, 1, 3, 3, 3]
     # zero entries are never chosen
     assert set(_picks([0.0, 2.0, 0.0, 0.0], np.linspace(0.0, 1.0, 11))) == {1}
+
+
+def test_roulette_reuses_one_buffer_as_the_fill_zeroes_picks():
+    # one pick function per construction: its running-sum buffer is refilled
+    # from the weights as they change in place, here with a total that turns
+    # 0, inf or NaN partway through; every pick is the one a fresh running
+    # sum gives, or the uniform draw over the candidates left
+    gen = rng.substream(0, 26)
+    for bad in (0.0, np.inf, np.nan):
+        for _ in range(50):
+            m = int(gen.integers(1, 12))
+            w = gen.random(m) * (gen.random(m) < 0.8)
+            free = np.ones(m, dtype=bool)
+            pick = _roulette(w)
+            turn = int(gen.integers(0, m))
+            for step in range(m):
+                if step == turn:  # the total turns bad here
+                    if bad == 0.0:
+                        w[:] = 0.0
+                    w[free.argmax()] = bad
+                r = float(gen.random())
+                run = np.add.accumulate(w)
+                if 0 < run[-1] < np.inf:
+                    want = int(run.searchsorted(r * run[-1]))
+                else:
+                    cand = free.nonzero()[0]
+                    want = int(cand[min(int(r * cand.size), cand.size - 1)])
+                got = pick(r, free)
+                assert got == want, (bad, w.tolist(), r)
+                free[got] = False
+                w[got] = 0.0
 
 
 def test_evaporate():

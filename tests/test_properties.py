@@ -8,7 +8,7 @@ import bruteforce as bf
 from nrpbench import (AcoParams, CoverTracker, FhcParams, GraspParams, SaParams,
                       closure, evaluate, make_instance, read_instance, rng, solve_one,
                       write_instance)
-from nrpbench.aco import _roulette_select
+from nrpbench.aco import _roulette
 from nrpbench.baselines import _top_k
 from nrpbench.local_search import _first_move, improve, random_feasible, sweep_improve
 
@@ -419,14 +419,15 @@ def test_roulette_matches_the_positive_filter(p, uniforms, gaps):
     # the draw over all customers picks the candidate the running sum over
     # the candidates alone picks
     weights, free, cand = _spread(p, gaps)
+    pick = _roulette(weights)
     if not (p > 0).any():  # no weight at all: every candidate weighs the same
         for u in (0.0, 0.5, 0.999, 1.0):
-            assert _roulette_select(weights, u, free) == cand[min(int(u * p.size), p.size - 1)]
+            assert pick(u, free) == cand[min(int(u * p.size), p.size - 1)]
         return
     cums = p.cumsum()
     cuts = (cums / cums[-1]).tolist()
     us = [0.0, 1.0, 1.0 + 1e-12, *cuts, *uniforms,
           *(np.nextafter(c, 0.0) for c in cuts), *(np.nextafter(c, 2.0) for c in cuts)]
     for u in us:
-        assert _roulette_select(weights, u, free) == cand[_positive_roulette(p, u)], \
+        assert pick(u, free) == cand[_positive_roulette(p, u)], \
             (p.tolist(), gaps, u)
