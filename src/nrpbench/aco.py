@@ -138,7 +138,10 @@ def construct_solution(
     so the rule's weights are computed once up front, over all customers;
     the fill sets the weight of every customer that is chosen or stops
     fitting to 0.0, and each step refills the construction's one
-    running-sum buffer over all of them (:func:`_roulette`).
+    running-sum buffer over all of them (:func:`_roulette`).  The rule never
+    reads a marginal, so the fill keeps them up to date only where it
+    filters the candidates and once before returning
+    (``reads_marginals=False`` in :func:`~nrpbench.model._construct`).
     """
     weights = tau ** params.alpha * eta ** params.beta
     pick = _roulette(weights)
@@ -146,7 +149,7 @@ def construct_solution(
     def choose(cover, free, n):
         return pick(gen.random(), free)
 
-    return _construct(instance, budget, choose, weights, 0.0)
+    return _construct(instance, budget, choose, weights, 0.0, reads_marginals=False)
 
 
 def evaporate(tau: np.ndarray, rho: float) -> None:

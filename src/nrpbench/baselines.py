@@ -117,7 +117,7 @@ def grasp_construct(
         rcl, thr = _top_k(key, rcl_length, thr, n)
         return int(rcl[int(gen.integers(0, rcl.size))])
 
-    return _construct(instance, budget, choose, negp, np.inf)
+    return _construct(instance, budget, choose, negp, np.inf, reads_marginals=True)
 
 
 def _top_k(key: np.ndarray, k: int, thr: float, n: int) -> tuple[np.ndarray, float]:

@@ -65,11 +65,30 @@ class FhcParams:
 
 
 def random_feasible(instance: Instance, budget: int, gen: np.random.Generator) -> CoverTracker:
-    """Greedy fill along a uniformly random customer order; returns its tracker."""
+    """Greedy fill along a uniformly random customer order; returns its tracker.
+
+    Each customer is added when its add cost fits what is left of the
+    budget.  The fill adds with ``CoverTracker._cover``, which leaves every
+    marginal as an upper bound on the add cost, since an add never raises
+    one.  A customer whose bound fits is added: its add cost fits too.
+    Otherwise one walk over its closure works the exact add cost out, and
+    that decides; the order visits each customer once, so the cost is not
+    written back.  One settle before returning makes every marginal exact,
+    so the tracker is the one the exact fill gives.
+    """
     cover = CoverTracker(instance)
-    for idx in gen.permutation(instance.n_customers).tolist():
-        if cover.cost + cover.marginal[idx] <= budget:
-            cover.add(idx)
+    closures, cost = instance.closure_indices, instance._cost
+    counts, marginal = memoryview(cover.counts), memoryview(cover.marginal)
+    for j in gen.permutation(instance.n_customers).tolist():
+        if cover.cost + marginal[j] > budget:
+            exact = 0
+            for r in closures[j].tolist():
+                if not counts[r]:
+                    exact += cost[r]
+            if cover.cost + exact > budget:
+                continue
+        cover._cover(j)
+    cover._settle()
     return cover
 
 

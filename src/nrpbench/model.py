@@ -29,7 +29,16 @@ reads and writes single entries through memoryviews of the tracker's own
 count and marginal arrays, which are never rebound, so the numpy code
 reading them sees each flip with no copy or sync step.  The
 constructions, both climbs and the annealer's chain all flip
-customers through it.  A construction returns its tracker, and a climb
+customers through it.  A fill that reads few marginals (the ants', and
+the random start of the restart solver and the annealer) defers their
+upkeep: it adds through ``CoverTracker._cover``, which keeps the mask,
+counts and cost and leaves each marginal as an upper bound, since an add
+never raises one, and ``CoverTracker._settle`` works every marginal out
+again in place, with the gather the constructor uses.  Where a bound
+cannot decide, the fill works the exact value out (the ants' settles
+before each filter, a random start walks the one customer's closure),
+and it settles before it returns, so the stale window never leaves it.
+A construction returns its tracker, and a climb
 flips a :meth:`~CoverTracker.copy` of the tracker it is given, so a
 construction's cover passes to its climb with no rebuild; only the
 result a solver returns becomes a :class:`Solution`, which
@@ -384,8 +393,15 @@ class CoverTracker:
     same scalar walk.  A requirement whose coverage changes moves its cost
     in or out of the flipped customer's freed; one going from one owner to
     two (an add) or from two to one (a drop) moves it out of or into the
-    other owner's.  A tracker that never prices (a construction's) pays a
+    other owner's.  A tracker that never prices (GRASP's construction) pays a
     few ``is None`` tests per flip for them.
+
+    A fill that reads few marginals can defer their upkeep: :meth:`_cover`
+    adds a customer to the mask, counts and cost only, in one walk over its
+    closure, which leaves every marginal an upper bound on the true one;
+    :meth:`_settle` works them all out again in place, with the gather the
+    constructor uses.  The ant fill and the random starts add this way and
+    settle before returning; no tracker leaves them stale.
 
     ``profit`` is read from the mask when asked for, so flips do no work
     for it.  :meth:`copy` gives an independent tracker of the same
@@ -410,11 +426,7 @@ class CoverTracker:
             row, req = instance._csr_row, instance._csr_req
             self.counts = np.bincount(req[self.selected[row]], minlength=instance.n_requirements)
             self.cost = int(instance.cost_vector[self.counts > 0].sum())
-            # a customer's marginal is the cost of its uncovered requirements (float64
-            # even with no closure entries, where bincount gives int64)
-            uncovered = self._cost_f * (self.counts == 0)
-            marginal = np.bincount(row, weights=uncovered[req], minlength=instance.n_customers)
-            self.marginal = marginal.astype(np.float64, copy=False)
+            self.marginal = _marginals(instance, self.counts)
         else:  # nothing is covered: every marginal is the customer's closure cost
             self.counts = np.zeros(instance.n_requirements, dtype=np.intp)
             self.cost = 0
@@ -475,6 +487,28 @@ class CoverTracker:
         if freed is not None:  # ``index`` alone needs what it covers or uncovers
             freed[index] += self.cost - before
 
+    def _cover(self, index: int) -> None:
+        """Add customer by 0-based index to ``selected``, ``counts`` and ``cost``
+        only, in one walk over its closure; for a tracker that has not started
+        pricing.
+
+        ``marginal`` is left as it was.  An add only lowers marginals, so each
+        entry stays an upper bound on the customer's add cost until
+        :meth:`_settle` makes them exact again.
+        """
+        self.selected[index] = True
+        counts, cost, added = self._counts_v, self._cost, 0
+        for r in self._idx[index].tolist():
+            k = counts[r]
+            counts[r] = k + 1
+            if not k:
+                added += cost[r]
+        self.cost += added
+
+    def _settle(self) -> None:
+        """Work every marginal out from ``counts`` again, in place, after :meth:`_cover`."""
+        self.marginal[:] = _marginals(self._inst, self.counts)
+
     def affordable(self, budget: int) -> np.ndarray:
         """0-based ids of the unselected customers that fit within budget."""
         return (~self.selected & (self.cost + self.marginal <= budget)).nonzero()[0]
@@ -530,8 +564,17 @@ class CoverTracker:
                         self.cost, int(self._inst.profit_vector[idx].sum()))
 
 
+def _marginals(instance: Instance, counts: np.ndarray) -> np.ndarray:
+    """Every customer's add cost against the cover ``counts``: the summed cost
+    of its uncovered requirements, by one gather and one ``bincount`` over the
+    closure entries (float64 even with no entries, where bincount gives int64)."""
+    uncovered = instance._cost_f64 * (counts == 0)
+    return np.bincount(instance._csr_row, weights=uncovered[instance._csr_req],
+                       minlength=instance.n_customers).astype(np.float64, copy=False)
+
+
 def _construct(instance: Instance, budget: int, choose, values: np.ndarray,
-               dead: float) -> CoverTracker:
+               dead: float, reads_marginals: bool) -> CoverTracker:
     """Greedy fill: add customer ``choose(cover, free, n)`` until no
     candidate is left; returns the tracker, which a climb can take on as it is.
 
@@ -551,8 +594,17 @@ def _construct(instance: Instance, budget: int, choose, values: np.ndarray,
     fits in the slack ``budget - cost``, every other candidate still fits.
     Otherwise the mask is filtered and ``most`` worked out again from the
     candidates kept.
+
+    A rule that does not read ``cover.marginal`` (``reads_marginals``
+    false, the ants') has the fill add with :meth:`CoverTracker._cover`,
+    which leaves the marginals as upper bounds, and settle them only where
+    they are read: before each filter and once before returning.  Marginals
+    are read nowhere else, so every mask, pick and returned tracker is the
+    one exact marginals give.  GRASP's rule reads them every step, so its
+    fill adds with :meth:`CoverTracker.add`.
     """
     cover = CoverTracker(instance)
+    add, settle = (cover.add, lambda: None) if reads_marginals else (cover._cover, cover._settle)
     marginal = cover.marginal
     free = marginal <= budget  # the cover is empty: j fits when its marginal does
     values[~free] = dead
@@ -560,14 +612,16 @@ def _construct(instance: Instance, budget: int, choose, values: np.ndarray,
     most = marginal.max(where=free, initial=0.0)
     while n:
         j = choose(cover, free, n)
-        cover.add(j)
+        add(j)
         free[j] = False
         values[j] = dead
         n -= 1
         slack = budget - cover.cost
         if most > slack:
+            settle()
             free &= marginal <= slack
             values[~free] = dead
             n = int(np.count_nonzero(free))
             most = marginal.max(where=free, initial=0.0)
+    settle()
     return cover

@@ -244,12 +244,14 @@ def test_construct_matches_positive_roulette_reference(family, monkeypatch):
     patchy[::7] = 0.0
     zero, tiny = np.zeros_like(fresh), init_pheromone(inst) * 1e-300
     assert not (tiny ** params.alpha * eta ** params.beta).any() and tiny.all()
+    # the ant fill adds through CoverTracker._cover, which leaves the
+    # marginals as upper bounds until the fill settles them
     adds = []
-    add = CoverTracker.add
+    cover = CoverTracker._cover
 
     def record_add(self, index):
         adds.append(index + 1)
-        add(self, index)
+        cover(self, index)
 
     for ratio in ("0.3", "0.5", "0.7"):
         bud = budget(inst, ratio)
@@ -259,7 +261,7 @@ def test_construct_matches_positive_roulette_reference(family, monkeypatch):
             want = _reference_ant(inst, bud, weights, ref_gen)
             adds.clear()
             with monkeypatch.context() as m:
-                m.setattr(CoverTracker, "add", record_add)
+                m.setattr(CoverTracker, "_cover", record_add)
                 sol = construct_solution(inst, bud, tau, eta, params, gen)
             sol = sol.solution()
             assert adds == want

@@ -25,6 +25,22 @@ def test_random_feasible_excludes_unaffordable(toy):
         assert sol.cost <= 7
 
 
+def test_random_feasible_decides_on_the_exact_add_cost():
+    # requirement 1 costs 5 and requirement 2 costs 1; customer 1 needs 1,
+    # customer 2 needs 1 and 2.  Whichever comes first fills 5 or 6 of the
+    # budget of 6, and the other's stale marginal (its closure cost, 6 or
+    # 5) no longer fits, while its exact add cost (1 or 0) does
+    inst = make_instance([5, 1], [], [(3, [1]), (4, [1, 2])])
+    firsts = set()
+    for s in range(20):
+        gen = rng.substream(s, 50)
+        firsts.add(int(rng.substream(s, 50).permutation(2)[0]))
+        cover = random_feasible(inst, 6, gen)
+        assert cover.solution().selected == {1, 2} and cover.cost == 6
+        assert cover.marginal.tolist() == [0.0, 0.0]
+    assert firsts == {0, 1}
+
+
 def test_random_feasible_is_feasible_on_randoms():
     for seed in range(1, 31):
         inst = bf.random_small_instance(seed)

@@ -338,11 +338,15 @@ def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypat
     # the tracker again, which is exact only because no add lowers cost + marginal.
     # A step only clears the chosen customer while the largest marginal at the
     # last filter fits the slack; otherwise it filters the whole mask, and then
-    # writes the dead value into the rule's array through a boolean mask
+    # writes the dead value into the rule's array through a boolean mask.  The
+    # ant fill leaves the live marginals as upper bounds between filters, so
+    # the affordable customers are read from a fresh tracker of the selection
     steps = []
     branches = {"remove": 0, "filter": 0}
 
-    def checked(instance, bud, choose, values, dead):
+    def checked(instance, bud, choose, values, dead, reads_marginals):
+        # GRASP's rule reads the marginals every step; the ants' never does
+        assert reads_marginals == (solver == "grasp")
         last, masked = {}, []
         given = values.copy()
 
@@ -352,8 +356,10 @@ def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypat
                 super().__setitem__(at, value)
 
         def spy(cover, free, n):
+            exact = CoverTracker(instance, cover.selected.nonzero()[0] + 1)
+            assert cover.cost == exact.cost and (cover.marginal >= exact.marginal).all()
             want = np.zeros(instance.n_customers, dtype=bool)
-            want[cover.affordable(bud)] = True
+            want[exact.affordable(bud)] = True
             assert np.array_equal(free, want) and n == want.sum()
             # the rule reads its own entries for the candidates, dead ones elsewhere
             assert np.array_equal(values[free], given[free]) and (values[~free] == dead).all()
@@ -362,12 +368,13 @@ def test_construct_filtered_candidates_are_the_affordable_ones(solver, monkeypat
             if last:
                 assert filtered == (last["most"] > bud - cover.cost)
                 branches["filter" if filtered else "remove"] += 1
-            if filtered:
-                last["most"] = cover.marginal[free].max()
+            if filtered:  # the fill settled the marginals it filtered on
+                assert np.array_equal(cover.marginal, exact.marginal)
+                last["most"] = exact.marginal[free].max()
             steps.append(n)
             return choose(cover, free, n)
 
-        sol = model._construct(instance, bud, spy, values.view(Watched), dead)
+        sol = model._construct(instance, bud, spy, values.view(Watched), dead, reads_marginals)
         assert CoverTracker(instance, sol.solution().selected).affordable(bud).size == 0
         return sol
 

@@ -113,6 +113,37 @@ def test_cover_tracker_flips_match_a_fresh_tracker(inst, toggles, priced_at):
             assert (cover._owner_sum == fresh._owner_sum).all()
 
 
+@FAST
+@given(instances(), st.lists(st.integers(0, 6), max_size=12), st.sets(st.integers(0, 12)))
+def test_cover_then_settle_is_the_same_adds_through_add(inst, picks, settle_at):
+    # _cover keeps the selection, counts and cost exact and leaves each
+    # marginal an upper bound; _settle, before any add number in
+    # ``settle_at`` and once at the end, makes the marginals exact again,
+    # in the array the tracker was built with
+    lazy, eager = CoverTracker(inst), CoverTracker(inst)
+    marginal = lazy.marginal
+    for step, t in enumerate(picks):
+        if inst.n_customers == 0:
+            break
+        if step in settle_at:
+            lazy._settle()
+            assert np.array_equal(lazy.marginal, eager.marginal)
+        i = t % inst.n_customers
+        if lazy.selected[i]:
+            continue
+        lazy._cover(i)
+        eager.add(i)
+        assert np.array_equal(lazy.selected, eager.selected)
+        assert np.array_equal(lazy.counts, eager.counts)
+        assert type(lazy.cost) is int and lazy.cost == eager.cost
+        assert (lazy.marginal >= eager.marginal).all()
+    lazy._settle()
+    assert lazy.marginal is marginal and lazy.marginal.dtype == np.float64
+    assert np.array_equal(lazy.marginal, eager.marginal)
+    fresh = CoverTracker(inst, (lazy.selected.nonzero()[0] + 1).tolist())
+    assert np.array_equal(lazy.marginal, fresh.marginal)
+
+
 def _state(cover):
     """A tracker's arrays, each with a copy of its contents, and its cost."""
     arrays = (cover.selected, cover.counts, cover.marginal, cover._freed, cover._owner_sum)
