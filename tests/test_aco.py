@@ -247,11 +247,11 @@ def test_construct_matches_positive_roulette_reference(family, monkeypatch):
     # the ant fill adds through CoverTracker._cover, which leaves the
     # marginals as upper bounds until the fill settles them
     adds = []
-    cover = CoverTracker._cover
+    lazy_add = CoverTracker._cover
 
     def record_add(self, index):
         adds.append(index + 1)
-        cover(self, index)
+        lazy_add(self, index)
 
     for ratio in ("0.3", "0.5", "0.7"):
         bud = budget(inst, ratio)
