@@ -4,7 +4,7 @@ Each customer carries a pheromone value, initialized proportional to
 profit and scaled into (0, 1]; the trail is one float64 array that the
 update steps change in place, and :func:`run` returns the final one as
 ``RunResult.tau``.  Ants build solutions one customer at a time with the
-random proportional rule: each step draws one uniform r and picks the
+random proportional rule: each step reads one uniform r and picks the
 first still affordable, unchosen customer whose running sum of weights
 tau_i^alpha * eta_i^beta reaches r times their total, where eta_i is the
 static profit-to-closure-cost ratio.  The sum runs over every customer's
@@ -12,7 +12,10 @@ weight, with 0.0 for each one that is chosen or does not fit, so it is
 the candidates' own running sum and no step gathers their weights.  A
 construction keeps one buffer for that sum, refills it in place every
 step, and finds r times the total in it with ``bisect`` on a memoryview,
-so a step makes no new array and one numpy call for the sum.
+so a step makes no new array and one numpy call for the sum.  The
+uniforms are drawn ahead, one per customer in one call, and the ant's
+stream is put back where one draw per step leaves it
+(:func:`~nrpbench.rng.draw_ahead`), so its climb reads the same stream.
 After all ants of an iteration finish (optionally each polished to a
 1-swap local optimum by the sweeping climb), the trail evaporates once
 by factor (1 - rho) and every ant deposits gamma * profit(solution) on
@@ -142,14 +145,24 @@ def construct_solution(
     reads a marginal, so the fill keeps them up to date only where it
     filters the candidates and once before returning
     (``reads_marginals=False`` in :func:`~nrpbench.model._construct`).
+
+    Step k reads the k-th of m uniforms that ``gen.random(m)`` draws
+    before the fill, m being the number of customers and so the most
+    steps a fill takes.  Each step adds one customer, so the fill used as
+    many as it selected, and ``gen`` is put back where that many scalar
+    ``gen.random()`` calls leave it (:func:`~nrpbench.rng.draw_ahead`).
     """
     weights = tau ** params.alpha * eta ** params.beta
     pick = _roulette(weights)
+    block, put_back = rng.draw_ahead(gen, gen.random, instance.n_customers)
+    uniform = iter(memoryview(block)).__next__
 
     def choose(cover, free, n):
-        return pick(gen.random(), free)
+        return pick(uniform(), free)
 
-    return _construct(instance, budget, choose, weights, 0.0, reads_marginals=False)
+    cover = _construct(instance, budget, choose, weights, 0.0, reads_marginals=False)
+    put_back(int(np.count_nonzero(cover.selected)))
+    return cover
 
 
 def evaporate(tau: np.ndarray, rho: float) -> None:

@@ -105,19 +105,41 @@ def grasp_construct(
     ranks after every candidate.  Only the head of the ranking is sorted
     (:func:`_top_k`), from a threshold carried from step to step; the
     list is the one a full sort gives.
+
+    A step picks list position ``gen.integers(0, rcl.size)``.  While the
+    list is full (n >= rcl_length candidates), the positions come from one
+    ``gen.integers(0, rcl_length, size=m)`` drawn before the fill, m being
+    the number of customers; the candidates only shrink, so those steps
+    come first.  At the first short list, or at the end if none comes,
+    ``gen`` is put back where one scalar call per full-list step leaves it
+    (:func:`~nrpbench.rng.draw_ahead`), and each short list draws its own.
+    With rcl_length > m no list is full and nothing is drawn ahead.
     """
     negp = np.negative(instance.profit_vector, dtype=np.float64)
     key = np.empty_like(negp)
     thr = -np.inf
+    put_back = None
+    if rcl_length <= instance.n_customers:
+        block, put_back = rng.draw_ahead(
+            gen, lambda k: gen.integers(0, rcl_length, size=k), instance.n_customers)
+        position = iter(memoryview(block)).__next__
 
     def choose(cover, free, n):
-        nonlocal thr
+        nonlocal thr, put_back
         np.maximum(cover.marginal, 1.0, out=key)
         np.divide(negp, key, out=key)
         rcl, thr = _top_k(key, rcl_length, thr, n)
+        if n >= rcl_length:
+            return int(rcl[position()])
+        if put_back:  # every step so far was a full list and added one customer
+            put_back(int(np.count_nonzero(cover.selected)))
+            put_back = None
         return int(rcl[int(gen.integers(0, rcl.size))])
 
-    return _construct(instance, budget, choose, negp, np.inf, reads_marginals=True)
+    cover = _construct(instance, budget, choose, negp, np.inf, reads_marginals=True)
+    if put_back:
+        put_back(int(np.count_nonzero(cover.selected)))
+    return cover
 
 
 def _top_k(key: np.ndarray, k: int, thr: float, n: int) -> tuple[np.ndarray, float]:

@@ -232,9 +232,10 @@ def _reference_ant(inst, bud, weights, gen):
     return moves
 
 
-@pytest.mark.parametrize("family", ["NRP-1", "NRP-2", "NRP-3", "NRP-4", "NRP-5"])
+@pytest.mark.parametrize("family", ["NRP-1", "NRP-2", "NRP-3", "NRP-4", "NRP-5", "none"])
 def test_construct_matches_positive_roulette_reference(family, monkeypatch):
-    inst = generate(builtin_spec(family), 1)
+    # "none": an instance without customers, whose ant draws nothing
+    inst = make_instance([1], [], []) if family == "none" else generate(builtin_spec(family), 1)
     params = AcoParams()
     eta = heuristic_info(inst)
     # a fresh trail, one evaporated to zero on every seventh customer, and two

@@ -73,9 +73,15 @@ def _reference_grasp(inst, bud, rcl_length, gen):
     return moves
 
 
-@pytest.mark.parametrize("family", ["NRP-1", "NRP-2", "NRP-3", "NRP-4", "NRP-5"])
+@pytest.mark.parametrize("family", ["NRP-1", "NRP-2", "NRP-3", "NRP-4", "NRP-5", "none"])
 def test_grasp_construct_matches_full_sort_reference(family, monkeypatch):
-    inst = generate(builtin_spec(family), 1)
+    # "none": an instance without customers, whose fill draws nothing
+    inst = make_instance([1], [], []) if family == "none" else generate(builtin_spec(family), 1)
+    # lengths above m fill no list, so step-by-step draws start at step 1;
+    # 10**30 is too large for a block of int64 draws
+    lengths = (1, 3, 10)
+    if family == "NRP-1":
+        lengths += (inst.n_customers + 1, 2**64, 10**30)
     adds = []
     add = CoverTracker.add
 
@@ -85,7 +91,7 @@ def test_grasp_construct_matches_full_sort_reference(family, monkeypatch):
 
     for ratio in ("0.3", "0.5", "0.7"):
         bud = budget(inst, ratio)
-        for rcl in (1, 3, 10):
+        for rcl in lengths:
             gen, ref_gen = (rng.substream(7, rng.GRASP_RESTART, 1) for _ in range(2))
             want = _reference_grasp(inst, bud, rcl, ref_gen)
             adds.clear()
@@ -95,6 +101,9 @@ def test_grasp_construct_matches_full_sort_reference(family, monkeypatch):
             assert adds == want
             assert sol.selected == set(want)
             assert gen.bit_generator.state == ref_gen.bit_generator.state
+            if rcl == 1:  # a one-long list draws nothing
+                assert gen.bit_generator.state == \
+                    rng.substream(7, rng.GRASP_RESTART, 1).bit_generator.state
 
 
 def test_grasp_finds_toy_optimum(toy):
