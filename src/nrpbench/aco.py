@@ -12,9 +12,17 @@ weight, with 0.0 for each one that is chosen or does not fit, so it is
 the candidates' own running sum and no step gathers their weights.  A
 construction keeps one buffer for that sum, refills it in place every
 step, and finds r times the total in it with ``bisect`` on a memoryview,
-so a step makes no new array and one numpy call for the sum.  The
-uniforms are drawn ahead, one per customer in one call, and the ant's
-stream is put back where one draw per step leaves it
+so a step makes no new array and one numpy call for the sum.  The fill
+(:func:`~nrpbench.model._construct`) passes its candidate count: where
+it fell by exactly one, the fill zeroed only the customer picked last,
+and a pick at index ``_SUFFIX_FROM`` = 256 or later has only the suffix
+from it refilled, seeded with the unchanged sum before it; every other
+step refills the whole buffer.  ``np.add.accumulate`` adds in order, so
+both give the same sums bit for bit.  Below the guard the two slices
+cost about what they save: one ant took 0.80-0.83x the time of full
+refills on NRP-5 and 1.00-1.03x on NRP-1, whose 100 customers never
+reach it.  The uniforms are drawn ahead, one per customer in one call,
+and the ant's stream is put back where one draw per step leaves it
 (:func:`~nrpbench.rng.draw_ahead`), so its climb reads the same stream.
 After all ants of an iteration finish (optionally each polished to a
 1-swap local optimum by the sweeping climb), the trail evaporates once
@@ -36,7 +44,7 @@ from math import inf
 import numpy as np
 
 from . import rng
-from .local_search import sweep_improve
+from .local_search import _check_kinds, sweep_improve
 from .model import CoverTracker, Instance, Solution, _construct, evaluate
 
 
@@ -51,6 +59,7 @@ class AcoParams:
     use_local_search: bool = True
 
     def __post_init__(self):
+        _check_kinds(self)
         if not 0 < self.rho <= 1:
             raise ValueError(f"rho must be in (0, 1], got {self.rho}")
         if self.alpha < 0 or self.beta < 0:
@@ -85,12 +94,22 @@ def heuristic_info(instance: Instance) -> np.ndarray:
     return instance.profit_vector / np.maximum(1.0, instance.closure_cost_vector)
 
 
+# the lowest pick index from which a step refills only the running sum's
+# suffix; below it the two slices cost about what the shorter sum saves.
+# One ant at ratios 0.3/0.5/0.7 against full refills, best of 7 x 10
+# streams on a shared 2-core x86 host: from 256 it took 0.80-0.83x the
+# time on NRP-5, 0.85-0.94x on NRP-4 and 1.00-1.03x on NRP-1 (100
+# customers, no pick past the guard); from 512, 0.82-0.90x on NRP-5; from
+# 128, no better than 256; from 1, 1.05-1.08x on NRP-1.
+_SUFFIX_FROM = 256
+
+
 def _roulette(weights: np.ndarray):
-    """The random proportional rule over ``weights``: returns ``pick(r, free)``,
+    """The random proportional rule over ``weights``: returns ``pick(r, free, n)``,
     the candidate drawn by ``r`` in [0, 1), a 0-based id.
 
-    The candidates are the entries ``free`` marks, and every other entry of
-    ``weights`` is 0.0.  Candidate k is picked with probability
+    The candidates are the ``n`` entries ``free`` marks, and every other
+    entry of ``weights`` is 0.0.  Candidate k is picked with probability
     ``weights[k] / sum(weights)``: the first entry whose running sum
     reaches ``r`` times the total.  A 0.0 leaves the running sum as it was,
     so the sum at each candidate is the one over the candidates alone.
@@ -101,26 +120,47 @@ def _roulette(weights: np.ndarray):
     the n, in id order.
 
     ``weights`` may change in place between picks; each pick refills one
-    running-sum buffer from it.  The weights are never negative, so the
-    sums never decrease, and ``bisect_left`` on them is
+    running-sum buffer from it.  The caller's count is the contract with
+    :func:`~nrpbench.model._construct`: a count one below the last one
+    means that only the entry returned last was set to 0.0 since, and a
+    count that fell by more means that other entries were zeroed too.  In
+    the first case, with that entry at ``_SUFFIX_FROM`` or later, only the
+    suffix from it is refilled, seeded with the unchanged sum just before
+    it; otherwise the whole buffer is.  ``np.add.accumulate`` adds strictly
+    in order, so the suffix holds bit for bit the sums a full refill gives.
+    The guard keeps the two slices' cost off instances too small to repay
+    it (one ant: 0.80-0.83x the time of full refills on NRP-5, 1.00-1.03x
+    on NRP-1; see ``_SUFFIX_FROM``).  The weights are never negative, so
+    the sums never decrease, and ``bisect_left`` on them is
     ``searchsorted(side="left")``; it and the scalar reads go through
     memoryviews, which skips a numpy call per read.
     """
     run = np.empty_like(weights)
     sums, w, size = memoryview(run), memoryview(weights), weights.size
+    start, last, count = _SUFFIX_FROM, -1, -1  # no pick yet: the first refill is whole
 
-    def pick(r: float, free: np.ndarray) -> int:
-        np.add.accumulate(weights, out=run)
+    def pick(r: float, free: np.ndarray, n: int) -> int:
+        nonlocal last, count
+        if last >= start and n == count - 1:
+            w[last] = sums[last - 1]
+            np.add.accumulate(weights[last:], out=run[last:])
+            w[last] = 0.0
+        else:
+            np.add.accumulate(weights, out=run)
+        count = n
         total = sums[-1]
         if not 0 < total < inf:
             cand = free.nonzero()[0]
-            return int(cand[min(int(r * cand.size), cand.size - 1)])
+            last = int(cand[min(int(r * cand.size), cand.size - 1)])
+            return last
         k = bisect_left(sums, r * total)
         # a zero entry leaves the sum as it was, so it comes first only at k = 0
         if k < size and w[k] > 0:
+            last = k
             return k
         positive = (weights > 0).nonzero()[0]
-        return int(positive[0] if k < size else positive[-1])
+        last = int(positive[0] if k < size else positive[-1])
+        return last
 
     return pick
 
@@ -141,9 +181,11 @@ def construct_solution(
     so the rule's weights are computed once up front, over all customers;
     the fill sets the weight of every customer that is chosen or stops
     fitting to 0.0, and each step refills the construction's one
-    running-sum buffer over all of them (:func:`_roulette`).  The rule never
-    reads a marginal, so the fill keeps them up to date only where it
-    filters the candidates and once before returning
+    running-sum buffer, over all of them or from the customer picked last
+    on; ``choose`` passes on the fill's candidate count, which tells the
+    roulette whether only that customer was zeroed (:func:`_roulette`).
+    The rule never reads a marginal, so the fill keeps them up to date
+    only where it filters the candidates and once before returning
     (``reads_marginals=False`` in :func:`~nrpbench.model._construct`).
 
     Step k reads the k-th of m uniforms that ``gen.random(m)`` draws
@@ -158,7 +200,7 @@ def construct_solution(
     uniform = iter(memoryview(block)).__next__
 
     def choose(cover, free, n):
-        return pick(uniform(), free)
+        return pick(uniform(), free, n)
 
     cover = _construct(instance, budget, choose, weights, 0.0, reads_marginals=False)
     put_back(int(np.count_nonzero(cover.selected)))

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .local_search import _best_of_restarts, random_feasible
+from .local_search import _best_of_restarts, _check_kinds, random_feasible
 from .model import CoverTracker, Instance, Solution, _construct
 
 
@@ -65,6 +65,7 @@ class GraspParams:
     rcl_length: int = field(default=10, metadata={"help": "candidate list length"})
 
     def __post_init__(self):
+        _check_kinds(self)
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
         if self.rcl_length < 1:
@@ -80,6 +81,7 @@ class SaParams:
     moves_per_temp: int = field(default=1, metadata={"help": "moves per cooling step"})
 
     def __post_init__(self):
+        _check_kinds(self)
         if self.lm_beta <= 0:
             raise ValueError("lm_beta must be positive")
         if self.final_temp <= 0:

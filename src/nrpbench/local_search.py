@@ -43,7 +43,9 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
@@ -55,11 +57,31 @@ class InfeasibleStartError(Exception):
     """The starting selection already exceeds the budget."""
 
 
+def _check_kinds(params) -> None:
+    """Refuse a params field value of the wrong kind, before any range check:
+    a count (``int`` field) that is no ``int``, or a number (``float``
+    field) that is no finite real number; a bool is neither, as in the seed
+    rule.  A ``float | None`` field also takes None; ``bool`` fields are
+    not checked."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type == "int":
+            ok, kind = type(value) is int, "an integer"
+        elif f.type == "bool" or (value is None and f.type == "float | None"):
+            continue
+        else:
+            ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+            kind = "a finite number"
+        if not ok:
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+
+
 @dataclass
 class FhcParams:
     restarts: int = field(default=100, metadata={"help": "restarts"})
 
     def __post_init__(self):
+        _check_kinds(self)
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
 

@@ -111,8 +111,8 @@ def test_criterion_4_selection_probabilities_normalize(criterion):
         pick = _roulette(w)
         for i in range(k - 1):
             u = math.fsum(ws[:i + 1]) / total
-            misplaced += pick(u - 1e-9, free) > cands[i]
-            misplaced += pick(u + 1e-9, free) <= cands[i]
+            misplaced += pick(u - 1e-9, free, k) > cands[i]
+            misplaced += pick(u + 1e-9, free, k) <= cands[i]
             checks += 2
     criterion(4, misplaced == 0,
               f"{misplaced} of {checks} draws 1e-9 from a normalized cumulative "

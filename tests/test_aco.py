@@ -1,4 +1,5 @@
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,7 +61,8 @@ def _picks(weights, rs, free=None):
     weights = np.asarray(weights, dtype=np.float64)
     free = np.ones(weights.size, dtype=bool) if free is None else np.asarray(free)
     pick = _roulette(np.where(free, weights, 0.0))
-    return [pick(r, free) for r in rs]
+    n = int(np.count_nonzero(free))  # the weights never change: the count stays
+    return [pick(r, free, n) for r in rs]
 
 
 def test_selection_probabilities_symmetric():
@@ -114,35 +116,120 @@ def test_roulette_select():
     assert set(_picks([0.0, 2.0, 0.0, 0.0], np.linspace(0.0, 1.0, 11))) == {1}
 
 
-def test_roulette_reuses_one_buffer_as_the_fill_zeroes_picks():
-    # one pick function per construction: its running-sum buffer is refilled
-    # from the weights as they change in place, here with a total that turns
-    # 0, inf or NaN partway through; every pick is the one a fresh running
-    # sum gives, or the uniform draw over the candidates left
+class _CountingNumpy:
+    """numpy as ``aco`` sees it, with the input length of each
+    ``add.accumulate`` call recorded: one shorter than the weights is a
+    suffix refill."""
+
+    def __init__(self, lengths):
+        def accumulate(a, out):
+            lengths.append(a.size)
+            return np.add.accumulate(a, out=out)
+
+        self.add = SimpleNamespace(accumulate=accumulate)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _fresh_pick(w, free, r):
+    """The pick a fresh running sum over ``w`` gives, or the uniform draw
+    over the candidates ``free`` marks."""
+    run = np.add.accumulate(w)
+    if not 0 < run[-1] < np.inf:
+        cand = free.nonzero()[0]
+        return int(cand[min(int(r * cand.size), cand.size - 1)])
+    k = int(run.searchsorted(r * run[-1]))
+    if k < w.size and w[k] > 0:
+        return k
+    positive = w.nonzero()[0]
+    return int(positive[0] if k < w.size else positive[-1])
+
+
+def _r_onto(target, total):
+    """An r whose ``r * total`` is exactly ``target``, where one lies within
+    an ulp of ``target / total``."""
+    x = target / total
+    for r in (x, np.nextafter(x, 0.0), np.nextafter(x, 2.0)):
+        if r * total == target:
+            return float(r)
+    return float(x)
+
+
+def test_roulette_reuses_one_buffer_as_the_fill_zeroes_picks(monkeypatch):
+    # one pick function per construction.  Its running-sum buffer is refilled
+    # from the weights as they change in place: whole, or from the last pick
+    # on where the count fell by one and that pick is at aco._SUFFIX_FROM or
+    # later.  The count is the one the fill passes: one less after a pick,
+    # and less still where a filter zeroed other weights too, as at the step
+    # where the total turns 0, inf or NaN.  Most r take r * total exactly
+    # onto a running sum or one ulp past it, where a sum one ulp off picks
+    # another customer.  Every pick is the one a fresh running sum gives, or
+    # the uniform draw over the candidates left
+    lengths = []
+    monkeypatch.setattr(aco, "np", _CountingNumpy(lengths))
     gen = rng.substream(0, 26)
-    for bad in (0.0, np.inf, np.nan):
-        for _ in range(50):
-            m = int(gen.integers(1, 12))
-            w = gen.random(m) * (gen.random(m) < 0.8)
-            free = np.ones(m, dtype=bool)
-            pick = _roulette(w)
-            turn = int(gen.integers(0, m))
-            for step in range(m):
-                if step == turn:  # the total turns bad here
-                    if bad == 0.0:
-                        w[:] = 0.0
-                    w[free.argmax()] = bad
-                r = float(gen.random())
-                run = np.add.accumulate(w)
-                if 0 < run[-1] < np.inf:
-                    want = int(run.searchsorted(r * run[-1]))
-                else:
-                    cand = free.nonzero()[0]
-                    want = int(cand[min(int(r * cand.size), cand.size - 1)])
-                got = pick(r, free)
-                assert got == want, (bad, w.tolist(), r)
-                free[got] = False
-                w[got] = 0.0
+    edge = aco._SUFFIX_FROM
+    # sizes below the guard, at it (the last index is edge - 1 or edge) and well above it
+    for low, high, trials in ((1, 12, 50), (edge, edge + 2, 6), (4 * edge, 4 * edge + 1, 3)):
+        suffixes = 0
+        for bad in (0.0, np.inf, np.nan):
+            for _ in range(trials):
+                m = int(gen.integers(low, high))
+                w = gen.random(m) * (gen.random(m) < 0.8)
+                free = np.ones(m, dtype=bool)
+                pick = _roulette(w)
+                turn = int(gen.integers(0, m))
+                lengths.clear()
+                for step in range(m):
+                    if step and gen.random() < 0.1 or step == turn:
+                        # a filter drops candidates, below the last pick as well
+                        cand = free.nonzero()[0]
+                        drop = gen.choice(cand, size=min(int(gen.integers(1, 4)), cand.size),
+                                          replace=False)
+                        free[drop], w[drop] = False, 0.0
+                    if not free.any():
+                        break
+                    if step == turn:  # the total turns bad here
+                        if bad == 0.0:
+                            w[:] = 0.0
+                        w[free.argmax()] = bad
+                    run = np.add.accumulate(w)
+                    r = float(gen.random())
+                    if 0 < run[-1] < np.inf and r < 0.7:  # onto a running sum or just past it
+                        j = int(gen.choice(w.nonzero()[0]))
+                        r = _r_onto(run[j] if r < 0.35 else np.nextafter(run[j], np.inf),
+                                    run[-1])
+                    want = _fresh_pick(w, free, r)
+                    got = pick(r, free, int(np.count_nonzero(free)))
+                    assert got == want, (m, bad, step, r)
+                    free[got] = False
+                    w[got] = 0.0
+                suffixes += sum(size < m for size in lengths)
+        # the guard is on the pick's index, of which high - 2 is the largest
+        assert (suffixes > 0) == (high - 2 >= edge), (low, suffixes)
+
+
+SEQUENTIAL = ("numpy's add.accumulate no longer adds strictly in order: a suffix seeded "
+              "with the sum before it differs from the full running sum")
+
+
+@pytest.mark.parametrize("m", [2, 7, 8, 9, 255, 256, 257, 1000, 4099])
+def test_a_seeded_suffix_accumulate_is_the_full_accumulate(m):
+    # the ant roulette refills a running sum from its last pick on, with the
+    # zeroed weight there overwritten by the sum just before it; that gives
+    # bit for bit the full refill only while numpy adds one entry at a time,
+    # left to right, also into an output slice
+    gen = rng.substream(29, m)
+    w = gen.random(m) * 10.0 ** gen.integers(-12, 13, size=m) * (gen.random(m) < 0.8)
+    full = np.add.accumulate(w)
+    run = np.full(m, np.nan)
+    for k in range(1, m):
+        seeded = w.copy()
+        seeded[k] = full[k - 1] + seeded[k]
+        run[:k] = full[:k]
+        np.add.accumulate(seeded[k:], out=run[k:])
+        assert run.tobytes() == full.tobytes(), SEQUENTIAL
 
 
 def test_evaporate():
@@ -247,7 +334,7 @@ def test_construct_matches_positive_roulette_reference(family, monkeypatch):
     assert not (tiny ** params.alpha * eta ** params.beta).any() and tiny.all()
     # the ant fill adds through CoverTracker._cover, which leaves the
     # marginals as upper bounds until the fill settles them
-    adds = []
+    adds, lengths = [], []
     lazy_add = CoverTracker._cover
 
     def record_add(self, index):
@@ -263,11 +350,18 @@ def test_construct_matches_positive_roulette_reference(family, monkeypatch):
             adds.clear()
             with monkeypatch.context() as m:
                 m.setattr(CoverTracker, "_cover", record_add)
+                m.setattr(aco, "np", _CountingNumpy(lengths))
                 sol = construct_solution(inst, bud, tau, eta, params, gen)
             sol = sol.solution()
             assert adds == want
             assert sol.selected == set(want)
             assert gen.bit_generator.state == ref_gen.bit_generator.state
+    # both refills run on the two largest families; no NRP-1 pick reaches the guard
+    suffixes = sum(size < inst.n_customers for size in lengths)
+    if family in ("NRP-4", "NRP-5"):
+        assert 0 < suffixes < len(lengths), (suffixes, len(lengths))
+    elif family == "NRP-1":
+        assert suffixes == 0 < len(lengths)
 
 
 def test_run_zero_iterations(toy):

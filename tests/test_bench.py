@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import re
 
 import pytest
 
@@ -31,6 +32,32 @@ def test_default_params():
     assert default_params("exact") is None
     with pytest.raises(ValueError):
         default_params("tabu")
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (AcoParams, "alpha", float("nan")), (AcoParams, "gamma", float("nan")),
+    (AcoParams, "beta", float("inf")), (AcoParams, "rho", float("-inf")),
+    (AcoParams, "ants", 2.5), (AcoParams, "iterations", True), (AcoParams, "alpha", "1"),
+    (FhcParams, "restarts", 2.0), (FhcParams, "restarts", False),
+    (GraspParams, "restarts", 2.5), (GraspParams, "rcl_length", 2.5),
+    (GraspParams, "rcl_length", "3"),
+    (SaParams, "final_temp", float("nan")), (SaParams, "initial_temp", float("nan")),
+    (SaParams, "initial_temp", float("inf")), (SaParams, "lm_beta", float("nan")),
+    (SaParams, "lm_beta", True), (SaParams, "moves_per_temp", 1.0)])
+def test_params_classes_refuse_what_readme_refuses(cls, name, value):
+    # counts are ints of at least 1 and the other values finite numbers; a
+    # bool is neither, as the seed rule has it.  dataclasses.replace checks too
+    kind = "an integer" if isinstance(getattr(cls(), name), int) else "a finite number"
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
+        cls(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}"):
+        dataclasses.replace(cls(), **{name: value})
+
+
+def test_params_classes_take_ints_as_numbers_and_a_calibrated_start():
+    assert AcoParams(alpha=1, beta=0, gamma=2).alpha == 1
+    assert SaParams(initial_temp=None).initial_temp is None
+    assert SaParams(initial_temp=5, final_temp=1).initial_temp == 5
 
 
 def test_solve_one_refuses_an_unknown_algorithm(toy):

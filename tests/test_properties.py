@@ -453,12 +453,12 @@ def test_roulette_matches_the_positive_filter(p, uniforms, gaps):
     pick = _roulette(weights)
     if not (p > 0).any():  # no weight at all: every candidate weighs the same
         for u in (0.0, 0.5, 0.999, 1.0):
-            assert pick(u, free) == cand[min(int(u * p.size), p.size - 1)]
+            assert pick(u, free, p.size) == cand[min(int(u * p.size), p.size - 1)]
         return
     cums = p.cumsum()
     cuts = (cums / cums[-1]).tolist()
     us = [0.0, 1.0, 1.0 + 1e-12, *cuts, *uniforms,
           *(np.nextafter(c, 0.0) for c in cuts), *(np.nextafter(c, 2.0) for c in cuts)]
     for u in us:
-        assert pick(u, free) == cand[_positive_roulette(p, u)], \
+        assert pick(u, free, p.size) == cand[_positive_roulette(p, u)], \
             (p.tolist(), gaps, u)
